@@ -129,10 +129,10 @@ def cmd_sweep(args) -> int:
     # each grid scenario must satisfy the config invariants up front
     problems = []
     for v in grid:
-        eips, tasks = spec.scenario_at(v)
-        for obj, kind in [(e, "eips") for e in eips] + [(t, "tasks") for t in tasks]:
-            for err in obj.validation_errors():
-                problems.append(f"{args.param}={v}: {kind}: {err}")
+        try:
+            spec.scenario_at(v)
+        except ValueError as exc:
+            problems.append(f"{args.param}={v}: {exc}")
     if problems:
         raise ConfigError(problems)
 

@@ -40,7 +40,6 @@ class ScenarioConfig:
     gamma: float
     initial_profile: Optional[tuple[tuple[float, ...], ...]] = None  # None = uniform
     utilization_cost_literal: bool = False
-    memory_truncation: Optional[int] = None
 
     def initial_mixed_profile(self) -> MixedStrategyProfile:
         if self.initial_profile is None:
@@ -182,8 +181,7 @@ def parse_config_dict(doc: dict) -> ScenarioConfig:
         eips=tuple(eips), tasks=tuple(tasks), solver=solver, gamma=float(gamma),
         initial_profile=(None if initial is None
                          else tuple(tuple(float(v) for v in b) for b in initial)),
-        utilization_cost_literal=literal,
-        memory_truncation=solver.memory_truncation)
+        utilization_cost_literal=literal)
 
 
 def parse_config(path) -> ScenarioConfig:

@@ -28,16 +28,16 @@ def project_simplex_flat(raw: np.ndarray, block_sizes: Sequence[int]) -> np.ndar
     entirely non-positive (no direction to renormalize toward).
     """
     raw = np.asarray(raw, dtype=float)
-    if not np.all(np.isfinite(raw)):
+    if not np.isfinite(raw).all():
         raise ValueError("cannot project non-finite vector")
-    out = np.empty_like(raw)
+    out = np.maximum(raw, 0.0)
     pos = 0
     for s in block_sizes:
-        block = np.clip(raw[pos:pos + s], 0.0, None)
+        block = out[pos:pos + s]
         total = block.sum()
         if total == 0.0:
             raise ValueError(f"block at offset {pos} is all zero after clamping")
-        out[pos:pos + s] = block / total
+        block /= total
         pos += s
     return out
 
@@ -92,10 +92,12 @@ def simulate(game: FederationGame, x_init: MixedStrategyProfile,
     """
     sizes = tuple(e.num_strategies for e in game.eips)
     proj_mags = [0.0]
+    correction = np.empty(sum(sizes))
 
     def postprocess(raw):
         fixed = project_simplex_flat(raw, sizes)
-        proj_mags.append(float(np.max(np.abs(fixed - raw))))
+        np.subtract(fixed, raw, out=correction)
+        proj_mags.append(float(np.abs(correction, out=correction).max()))
         return fixed
 
     sol = solve_fde_ivp(lambda y: game.rhs_flat(y, gamma), x_init.flat, solver,

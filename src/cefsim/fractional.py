@@ -195,10 +195,13 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
     ac = (d + 2) ** (a + 1) + d ** (a + 1) - 2 * (d + 1) ** (a + 1)  # corrector, interior
     c_pred = h ** a / gamma(a + 1)
     c_corr = h ** a / gamma(a + 2)
+    # reversed views: b_rev[N + 1 - m:] is b[:m][::-1], the same strided view
+    b_rev, ac_rev = b[::-1], ac[::-1]
 
     states = np.empty((N + 1, x0.size))
     fhist = np.empty((N + 1, x0.size))
     resid = np.zeros(N + 1)
+    update = np.empty(x0.size)  # scratch for the last corrector update
     states[0] = x0
     fhist[0] = rhs(x0)
 
@@ -209,13 +212,13 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
         lo = 0 if window is None else max(0, j + 1 - window)
 
         # predictor: fractional rectangle rule over the retained history
-        wp = b[:j + 1 - lo][::-1]
+        wp = b_rev[N - j + lo:]
         xp = free + c_pred * (wp @ fhist[lo:j + 1])
 
         # corrector: fractional trapezoid weights; the oldest retained
         # sample carries the exact left-endpoint weight only in the
         # untruncated case
-        wc = ac[:j - lo][::-1]
+        wc = ac_rev[N + 1 - j + lo:]
         hist = wc @ fhist[lo + 1:j + 1] if j > lo else 0.0
         if lo == 0:
             a0 = j ** (a + 1) - (j - a) * (j + 1) ** a
@@ -227,9 +230,9 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
         for _ in range(config.corrector_iterations):
             fc = rhs(xc)
             xnew = free + c_corr * (hist + fc)
-            resid[j + 1] = float(np.max(np.abs(xnew - xc)))
+            resid[j + 1] = np.abs(np.subtract(xnew, xc, out=update), out=update).max()
             xc = xnew
-        if not np.all(np.isfinite(xc)):
+        if not np.isfinite(xc).all():
             raise FdeAbortError(j + 1)
         if postprocess is not None:
             xc = postprocess(xc)

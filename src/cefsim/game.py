@@ -6,7 +6,7 @@ assignment and result recovery follow multivariate hypergeometric
 distributions, and each provider's expected utility combines task
 rewards, energy cost, and an edge-resource utilization cost.  The
 module culminates in the replicator right-hand side used by the
-evolution engine.
+evolution engine, compiled once per game.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -147,10 +147,17 @@ class MixedStrategyProfile:
 
 
 def _constrained_placements(limits: Sequence[int], total: int):
-    """Integer vectors v with 0 <= v_i <= limits_i and sum(v) == total."""
-    for combo in itertools.product(*[range(x + 1) for x in limits]):
-        if sum(combo) == total:
-            yield combo
+    """Integer vectors v with 0 <= v_i <= limits_i and sum(v) == total, in
+    lexicographic order.  Only feasible prefixes are extended.
+    """
+    if len(limits) == 1:
+        if 0 <= total <= limits[0]:
+            yield (total,)
+        return
+    rest = sum(limits[1:])
+    for c in range(max(0, total - rest), min(limits[0], total) + 1):
+        for tail in _constrained_placements(limits[1:], total - c):
+            yield (c,) + tail
 
 
 def joint_assignment_pmf(levels: Sequence[int], n: int):
@@ -197,6 +204,10 @@ class FederationGame:
     between the primitive definition (which divides the amortized cost by
     the provider's cloud count) and the verbatim net-utility formula,
     which omits that division.
+
+    The payoff tables and the per-provider contraction plan over them are
+    built once, on the first payoff or field evaluation.  `rhs_flat` is
+    the one replicator field; the profile-level methods wrap it.
     """
 
     def __init__(self, eips: Sequence[EipConfig], tasks: Sequence[TaskSpec],
@@ -210,37 +221,56 @@ class FederationGame:
         self.eips = tuple(eips)
         self.tasks = tuple(tasks)
         self.literal_utilization_cost = literal_utilization_cost
-        self._base_tables = None  # lazy: task-weighted payoff sans utilization cost
+        sizes = [e.num_strategies for e in self.eips]
+        offsets = list(itertools.accumulate(sizes, initial=0))
+        self._slices = tuple(slice(a, b) for a, b in zip(offsets, offsets[1:]))
+        self._js = tuple(np.arange(s, dtype=float) for s in sizes)
+        self._cost_scale = tuple(-e.fixed_cost * e.calibration_ratio for e in self.eips)
+        self._plan = None   # lazy: per-provider contraction plan, see _compile
+        self._terms = {}    # task -> {placement: per-provider expected terms}
 
     # ------------------------------------------------------------------
     # utilization and its cost
 
     def mean_contribution(self, i: int, x: MixedStrategyProfile) -> float:
-        js = np.arange(self.eips[i].num_strategies)
-        return float(js @ x.blocks[i])
+        return float(self._js[i].dot(x.blocks[i]))
+
+    def _utilization(self, i: int, s: float) -> float:
+        e = self.eips[i]
+        return e.num_clouds * s / e.capacity
 
     def utilization(self, i: int, x: MixedStrategyProfile) -> float:
-        e = self.eips[i]
-        return e.num_clouds * self.mean_contribution(i, x) / e.capacity
+        return self._utilization(i, self.mean_contribution(i, x))
 
     def _amortized_cost(self, i: int, w: float) -> float:
-        e = self.eips[i]
-        return -e.fixed_cost * e.calibration_ratio * (1.0 - 1.0 / (1.0 - w))
+        # the pole of 1/(1 - w): utilization 1 at the all-max share when
+        # capacity == E*L; a run that gets there aborts on the non-finite
+        # field (off-simplex solver stages may pass w > 1, which stays finite)
+        if w == 1.0:
+            return math.inf
+        return self._cost_scale[i] * (1.0 - 1.0 / (1.0 - w))
+
+    def _utilization_cost(self, i: int, xi: np.ndarray) -> Optional[np.ndarray]:
+        """Per-strategy utilization cost of provider i with share block xi,
+        as a fresh array; None when the provider contributes nothing (it
+        then bears no utilization cost).
+        """
+        js = self._js[i]
+        s = float(js.dot(xi))
+        if s == 0.0:
+            return None
+        # (js * xi / s) * f / E, rounded step by step in that order
+        cost = js * xi
+        cost /= s
+        cost *= self._amortized_cost(i, self._utilization(i, s))
+        if not self.literal_utilization_cost:
+            cost /= self.eips[i].num_clouds
+        return cost
 
     def utilization_cost_vector(self, i: int, x: MixedStrategyProfile) -> np.ndarray:
         """Per-strategy utilization cost for provider i at profile x."""
-        e = self.eips[i]
-        js = np.arange(e.num_strategies, dtype=float)
-        xi = x.blocks[i]
-        s = float(js @ xi)
-        if s == 0.0:
-            # a provider contributing nothing bears no utilization cost
-            return np.zeros(e.num_strategies)
-        f = self._amortized_cost(i, self.utilization(i, x))
-        cost = (js * xi / s) * f
-        if not self.literal_utilization_cost:
-            cost = cost / e.num_clouds
-        return cost
+        cost = self._utilization_cost(i, x.blocks[i])
+        return np.zeros(self.eips[i].num_strategies) if cost is None else cost
 
     def utilization_cost(self, i: int, j: int, x: MixedStrategyProfile) -> float:
         return float(self.utilization_cost_vector(i, x)[j])
@@ -248,64 +278,116 @@ class FederationGame:
     # ------------------------------------------------------------------
     # payoffs
 
-    def _expected_task_value(self, i: int, levels: Sequence[int], task: TaskSpec) -> float:
-        """Fixed reward plus expected assignment/recovery rewards minus
-        energy cost, for provider i under the pure profile `levels`.
-        Excludes the utilization cost.
+    def _placement_terms(self, placement: tuple[int, ...], task: TaskSpec) -> list[float]:
+        """Assignment and recovery rewards minus energy cost of every
+        provider, given the worker placement of a running task.
         """
-        value = task.r2
-        for placement, p in joint_assignment_pmf(levels, task.n):
+        recovery = recovery_pmf(placement, task.k)
+        terms = []
+        for i, e in enumerate(self.eips):
             nt_i = placement[i]
             term = task.r0 * task.n * nt_i
-            term -= self.eips[i].cpu_cost * task.cycles / task.k * nt_i
-            exp_recovered = sum(q * kt[i] for kt, q in recovery_pmf(placement, task.k))
+            term -= e.cpu_cost * task.cycles / task.k * nt_i
+            exp_recovered = sum(q * kt[i] for kt, q in recovery)
             term += task.r1 * task.k * exp_recovered
-            value += p * term
-        return value
+            terms.append(term)
+        return terms
+
+    def _expected_task_values(self, levels: Sequence[int], task: TaskSpec) -> list[float]:
+        """Fixed reward plus expected assignment/recovery rewards minus
+        energy cost of every provider under the pure profile `levels`,
+        from one enumeration of the assignment distribution.  Excludes the
+        utilization cost.  A placement's terms do not depend on the profile
+        it came from, so they are computed once per task and placement.
+        """
+        memo = self._terms.setdefault(task, {})
+        values = [task.r2] * len(self.eips)
+        for placement, p in joint_assignment_pmf(levels, task.n):
+            terms = memo.get(placement)
+            if terms is None:
+                terms = memo[placement] = self._placement_terms(placement, task)
+            for i, term in enumerate(terms):
+                values[i] += p * term
+        return values
 
     def pure_payoff(self, i: int, l_i: int, levels: Sequence[int],
                     x: MixedStrategyProfile, task: TaskSpec) -> float:
         levels = tuple(levels)
         if levels[i] != l_i:
             raise ValueError("levels[i] must equal l_i")
-        return self._expected_task_value(i, levels, task) - self.utilization_cost(i, l_i, x)
+        return self._expected_task_values(levels, task)[i] - self.utilization_cost(i, l_i, x)
 
     def _task_weight(self, task: TaskSpec) -> float:
         return task.rate / sum(t.rate for t in self.tasks)
+
+    def _base_payoffs(self, levels: Sequence[int]) -> list[float]:
+        weighted = [(self._task_weight(t), self._expected_task_values(levels, t))
+                    for t in self.tasks]
+        return [sum(w * values[i] for w, values in weighted)
+                for i in range(len(self.eips))]
 
     def base_payoff(self, i: int, levels: Sequence[int]) -> float:
         """Task-weighted expected payoff of provider i at a pure profile,
         excluding the utilization cost (which depends on the mixed state).
         """
-        return sum(self._task_weight(t) * self._expected_task_value(i, levels, t)
-                   for t in self.tasks)
+        return self._base_payoffs(levels)[i]
 
-    def _tables(self) -> list[np.ndarray]:
-        if self._base_tables is None:
-            shape = tuple(e.num_strategies for e in self.eips)
-            tables = [np.zeros(shape) for _ in self.eips]
-            for levels in itertools.product(*[range(s) for s in shape]):
-                for i in range(len(self.eips)):
-                    tables[i][levels] = self.base_payoff(i, levels)
-            self._base_tables = tables
-        return self._base_tables
+    def _compile(self) -> list[tuple]:
+        """Build the payoff tables and, per provider, the plan that
+        averages its table over the opponents' shares.
 
-    def _contract_opponents(self, i: int, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        """Average the base payoff table of provider i over the opponents'
-        mixed strategies, leaving a vector indexed by provider i's strategy.
-        Contracting the highest axis first keeps lower axis indices stable.
+        The plan replays `np.tensordot` contractions, highest axis first
+        (lower axis indices then stay put), with the operand layouts
+        tensordot passes to `np.dot`: a transposed table stays a strided
+        view, never a contiguous copy, so every sum runs in the same order
+        and the field keeps its bits.  The first contraction's operand is
+        static and is built here.  A provider without opponents has its
+        table as its payoff.
         """
-        table = self._tables()[i]
-        for other in range(len(self.eips) - 1, -1, -1):
-            if other != i:
-                table = np.tensordot(table, blocks[other], axes=(other, 0))
-        return np.asarray(table, dtype=float).reshape(self.eips[i].num_strategies)
+        shape = tuple(e.num_strategies for e in self.eips)
+        tables = [np.zeros(shape) for _ in self.eips]
+        for levels in itertools.product(*[range(s) for s in shape]):
+            for table, value in zip(tables, self._base_payoffs(levels)):
+                table[levels] = value
+        plan = []
+        for i, table in enumerate(tables):
+            steps, dims = [], list(shape)
+            for other in reversed(range(len(shape))):
+                if other == i:
+                    continue
+                kept = [k for k in range(len(dims)) if k != other]
+                flat2d = (math.prod(dims[k] for k in kept), dims[other])
+                steps.append((other, tuple(dims), kept + [other], flat2d))
+                dims = [dims[k] for k in kept]
+            if not steps:
+                plan.append((table, None, ()))
+                continue
+            first, _, axes, flat2d = steps[0]
+            plan.append((table.transpose(axes).reshape(flat2d), first, tuple(steps[1:])))
+        self._plan = plan
+        return plan
+
+    def _payoff(self, i: int, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """Expected payoff of each strategy of provider i against the
+        opponents' shares in `blocks`, as a fresh array.
+        """
+        operand, other, rest = (self._plan or self._compile())[i]
+        if other is None:
+            u = operand.copy()
+        else:
+            u = operand.dot(blocks[other])
+            for other, dims, axes, flat2d in rest:
+                u = u.reshape(dims).transpose(axes).reshape(flat2d).dot(blocks[other])
+        cost = self._utilization_cost(i, blocks[i])
+        if cost is not None:
+            u = np.subtract(u, cost, out=cost)
+        return u
 
     def payoff_vector(self, i: int, x: MixedStrategyProfile) -> np.ndarray:
         """Expected payoff of each strategy of provider i against the
         opponents' mixed strategies.
         """
-        return self._contract_opponents(i, x.blocks) - self.utilization_cost_vector(i, x)
+        return self._payoff(i, x.blocks)
 
     def mixed_payoff(self, i: int, l_i: int, x: MixedStrategyProfile) -> float:
         return float(self.payoff_vector(i, x)[l_i])
@@ -323,37 +405,20 @@ class FederationGame:
         """
         if gamma <= 0:
             raise ValueError("adaptation speed gamma must be > 0")
-        parts = []
-        for i in range(len(self.eips)):
-            u = self.payoff_vector(i, x)
-            xi = x.blocks[i]
-            parts.append(gamma * xi * (u - xi @ u))
-        return np.concatenate(parts)
+        return self.rhs_flat(x.flat, gamma)
 
     def rhs_flat(self, flat: np.ndarray, gamma: float) -> np.ndarray:
-        """Fast path for integrators: same as replicator_rhs but on the
-        flat state vector, skipping profile validation.
+        """The replicator field on the flat state vector, without profile
+        validation: the integrators' entry point.
         """
-        sizes = [e.num_strategies for e in self.eips]
-        blocks, pos = [], 0
-        for s in sizes:
-            blocks.append(flat[pos:pos + s])
-            pos += s
+        blocks = [flat[sl] for sl in self._slices]
         out = np.empty_like(flat)
-        pos = 0
-        for i, e in enumerate(self.eips):
-            u = self._contract_opponents(i, blocks)
+        for i, sl in enumerate(self._slices):
             xi = blocks[i]
-            js = np.arange(e.num_strategies, dtype=float)
-            s = float(js @ xi)
-            if s != 0.0:
-                w = e.num_clouds * s / e.capacity
-                f = self._amortized_cost(i, w)
-                cost = (js * xi / s) * f
-                if not self.literal_utilization_cost:
-                    cost = cost / e.num_clouds
-                u = u - cost
-            ubar = float(xi @ u)
-            out[pos:pos + e.num_strategies] = gamma * xi * (u - ubar)
-            pos += e.num_strategies
+            u = self._payoff(i, blocks)
+            u -= xi.dot(u)
+            # gamma * xi * (u - ubar), rounded step by step in that order
+            rate = out[sl]
+            np.multiply(xi, gamma, out=rate)
+            rate *= u
         return out

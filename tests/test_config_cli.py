@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cefsim.cli import main
@@ -174,3 +175,29 @@ def test_cli_bad_grid(tmp_path, fast_config, capsys):
     code = main(["sweep", str(fast_config), "--param", "r1",
                  "--grid", "60:10:10", "--out-dir", str(tmp_path)])
     assert code == 1
+
+
+def test_cli_simulate_aborts_at_saturation(tmp_path, doc, capsys):
+    # capacity == num_clouds * max_workers: a run that starts at the
+    # all-max share has utilization 1 and a non-finite field
+    doc["eips"][0].update(num_clouds=10, max_workers=4, capacity=40)
+    doc["solver"]["steps"] = 50
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert main(["simulate", str(p), "--out-dir", str(tmp_path / "u")]) in (0, 3)
+    doc["initial_profile"] = [[0, 0, 0, 0, 1], [1 / 9] * 9]
+    p.write_text(json.dumps(doc))
+    with np.errstate(invalid="ignore"):
+        code = main(["simulate", str(p), "--out-dir", str(tmp_path / "s")])
+    assert code == 2
+    assert "numerical abort" in capsys.readouterr().err
+
+
+def test_cli_sweep_precheck_names_grid_value(tmp_path, fast_config, capsys):
+    # E1 * L1 = 400 for the bundled scenario: 300 is below it, 400 is not
+    code = main(["sweep", str(fast_config), "--param", "W1",
+                 "--grid", "300:400:100", "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "W1=300" in err and "capacity" in err
+    assert "W1=400" not in err

@@ -60,6 +60,36 @@ def test_projection_returns_profile():
     assert prof.block_sizes == (2, 1)
 
 
+def _seed_project_simplex_flat(raw, block_sizes):
+    """The projection as first written: np.clip per block."""
+    out = np.empty_like(raw)
+    pos = 0
+    for s in block_sizes:
+        block = np.clip(raw[pos:pos + s], 0.0, None)
+        out[pos:pos + s] = block / block.sum()
+        pos += s
+    return out
+
+
+def test_projection_bit_identical_to_clip_form():
+    # clamping once for the whole vector must not move a bit; in particular
+    # a -0.0 input must come out as +0.0, or a CSV would print "-0"
+    rng = np.random.default_rng(29)
+    sizes = (5, 9, 8)
+    specials = np.array([-0.0, 0.0, -1e-18, -5e-324, 5e-324, -1e-9])
+    for m in range(600):
+        raw = np.concatenate([rng.dirichlet(np.ones(s)) for s in sizes])
+        raw += rng.normal(0.0, (0.0, 1e-12, 1e-6)[m % 3], raw.size)
+        hit = rng.random(raw.size) < 0.3
+        raw[hit] = rng.choice(specials, hit.sum())
+        for pos in (0, 5, 14):            # keep every block alive
+            raw[pos] = abs(raw[pos]) + 0.1
+        got = project_simplex_flat(raw, sizes)
+        want = _seed_project_simplex_flat(raw, sizes)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), m
+        assert not np.any(np.signbit(got))
+
+
 # -------------------------------------------------------------- simulate
 
 def test_pure_fixed_point_is_stationary(game):

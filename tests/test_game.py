@@ -174,7 +174,7 @@ def test_mixed_payoff_uniform_opponent_enumeration(game, eips, task):
     blocks = [np.zeros(5), np.full(9, 1 / 9)]
     blocks[0][4] = 1.0
     x = MixedStrategyProfile(blocks)
-    expected = sum(game._expected_task_value(0, (4, l2), task) for l2 in range(9)) / 9
+    expected = sum(game._expected_task_values((4, l2), task)[0] for l2 in range(9)) / 9
     expected -= game.utilization_cost(0, 4, x)
     assert game.mixed_payoff(0, 4, x) == pytest.approx(expected, abs=1e-9)
 
@@ -246,3 +246,155 @@ def test_lipschitz_ratio_bounded(game, eips):
 def test_all_zero_rates_rejected(eips):
     with pytest.raises(ValueError, match="rate"):
         FederationGame(eips, [TaskSpec(6, 4, 30, 30, 10, 1e6, 0.0)])
+
+
+def test_saturation_gives_non_finite_field():
+    # capacity == num_clouds * max_workers is valid, but at the all-max
+    # share utilization reaches 1 and the amortized cost 1/(1 - w) diverges
+    eips = (EipConfig(1, 10, 4, 1800, 1.0, 1e-5, 40),
+            EipConfig(2, 120, 8, 2800, 1.0, 1e-5, 1100))
+    game = FederationGame(eips, [TaskSpec(6, 4, 30, 30, 10, 1e6, 1.0)])
+    x = MixedStrategyProfile.pure(eips, [4, 8])
+    assert game.utilization(0, x) == 1.0
+    with np.errstate(invalid="ignore"):
+        assert not np.all(np.isfinite(game.utilization_cost_vector(0, x)))
+        assert not np.all(np.isfinite(game.replicator_rhs(x, 1.0)))
+    x = MixedStrategyProfile.uniform(eips)
+    assert np.all(np.isfinite(game.replicator_rhs(x, 1.0)))
+
+
+# --------------------------------------------- bit identity of the field
+#
+# The oracles below are the field as first written: payoff tables filled
+# provider by provider, and np.tensordot once per opponent per call.  The
+# compiled field must reproduce them bit for bit: windowed runs at coarse
+# steps amplify a last-bit change into a different terminal state.
+
+def _seed_expected_task_value(game, i, levels, task):
+    value = task.r2
+    for placement, p in joint_assignment_pmf(levels, task.n):
+        nt_i = placement[i]
+        term = task.r0 * task.n * nt_i
+        term -= game.eips[i].cpu_cost * task.cycles / task.k * nt_i
+        exp_recovered = sum(q * kt[i] for kt, q in recovery_pmf(placement, task.k))
+        term += task.r1 * task.k * exp_recovered
+        value += p * term
+    return value
+
+
+def _seed_tables(game):
+    shape = tuple(e.num_strategies for e in game.eips)
+    tables = [np.zeros(shape) for _ in game.eips]
+    for levels in itertools.product(*[range(s) for s in shape]):
+        for i in range(len(game.eips)):
+            tables[i][levels] = sum(
+                t.rate / sum(t.rate for t in game.tasks)
+                * _seed_expected_task_value(game, i, levels, t)
+                for t in game.tasks)
+    return tables
+
+
+def _seed_rhs_flat(game, tables, flat, gamma):
+    sizes = [e.num_strategies for e in game.eips]
+    blocks, pos = [], 0
+    for s in sizes:
+        blocks.append(flat[pos:pos + s])
+        pos += s
+    out = np.empty_like(flat)
+    pos = 0
+    for i, e in enumerate(game.eips):
+        u = tables[i]
+        for other in range(len(game.eips) - 1, -1, -1):
+            if other != i:
+                u = np.tensordot(u, blocks[other], axes=(other, 0))
+        u = np.asarray(u, dtype=float).reshape(e.num_strategies)
+        xi = blocks[i]
+        js = np.arange(e.num_strategies, dtype=float)
+        s = float(js @ xi)
+        if s != 0.0:
+            w = e.num_clouds * s / e.capacity
+            f = -e.fixed_cost * e.calibration_ratio * (1.0 - 1.0 / (1.0 - w))
+            cost = (js * xi / s) * f
+            if not game.literal_utilization_cost:
+                cost = cost / e.num_clouds
+            u = u - cost
+        ubar = float(xi @ u)
+        out[pos:pos + e.num_strategies] = gamma * xi * (u - ubar)
+        pos += e.num_strategies
+    return out
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _probe_states(sizes, count, seed):
+    """Seeded flat states: interior and sparse profiles, all-pure and
+    zero-contribution corners, and unprojected predictor-like states with
+    tiny negatives."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for m in range(count):
+        blocks = [rng.dirichlet(np.full(s, rng.choice([0.2, 1.0, 5.0]))) for s in sizes]
+        kind = m % 5
+        if kind == 1:                     # all pure, level 0 included
+            for b in blocks:
+                b[:] = 0.0
+                b[rng.integers(b.size)] = 1.0
+        elif kind == 2:                   # one provider contributes nothing
+            b = blocks[rng.integers(len(blocks))]
+            b[:] = 0.0
+            b[0] = 1.0
+        elif kind == 3:                   # exact zeros inside the simplex
+            for b in blocks:
+                b[rng.random(b.size) < 0.4] = 0.0
+                b[0] += 1.0 - b.sum()
+        flat = np.concatenate(blocks)
+        if kind == 4:                     # off the simplex, as a predictor is
+            flat = flat + rng.normal(0.0, 1e-3, flat.size)
+        out.append(flat)
+    return out
+
+
+BIT_GAMES = {
+    "one_provider": ((EipConfig(1, 100, 4, 1800, 1.0, 1e-5, 500),),
+                     (TaskSpec(3, 2, 30, 30, 10, 1e6, 1.0),), False),
+    "two_providers": ((EipConfig(1, 100, 4, 1800, 1.0, 1e-5, 500),
+                       EipConfig(2, 120, 8, 2800, 1.0, 1e-5, 1100)),
+                      (TaskSpec(6, 4, 30, 30, 10, 1e6, 1.0),), True),
+    "two_providers_two_tasks": ((EipConfig(1, 100, 4, 1800, 1.0, 1e-5, 500),
+                                 EipConfig(2, 120, 8, 2800, 1.0, 1e-5, 1100)),
+                                (TaskSpec(6, 4, 30, 30, 10, 1e6, 1.0),
+                                 TaskSpec(9, 5, 20, 25, 3, 2e6, 0.5)), False),
+    "three_providers": ((EipConfig(1, 100, 4, 1800, 1.0, 1e-5, 500),
+                         EipConfig(2, 120, 8, 2800, 1.0, 1e-5, 1100),
+                         EipConfig(3, 110, 7, 2100.5, 0.9, 1.2e-5, 1200)),
+                        (TaskSpec(10, 4, 30, 30, 10, 1e6, 1.0),), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIT_GAMES))
+def test_compiled_field_bit_identical_to_tensordot_form(name):
+    eips, tasks, literal = BIT_GAMES[name]
+    game = FederationGame(eips, tasks, literal_utilization_cost=literal)
+    tables = _seed_tables(game)
+    shape = tables[0].shape
+    for levels in itertools.product(*[range(s) for s in shape]):
+        for i in range(len(eips)):
+            assert _same_bits(game.base_payoff(i, levels), tables[i][levels])
+    sizes = [e.num_strategies for e in eips]
+    states = _probe_states(sizes, 600, seed=len(name))
+    for m, flat in enumerate(states):
+        gamma = (0.42, 1.0, 3.7)[m % 3]
+        assert _same_bits(game.rhs_flat(flat, gamma),
+                          _seed_rhs_flat(game, tables, flat, gamma)), (name, m)
+    # the profile-level payoffs wrap the same plan (report.json utilities)
+    for flat in states[:100:5] + states[1:100:5] + states[2:100:5]:
+        x = MixedStrategyProfile.from_flat(sizes, flat)
+        phi = game.replicator_rhs(x, 1.0)
+        assert _same_bits(phi, _seed_rhs_flat(game, tables, flat, 1.0))
+        for i in range(len(eips)):
+            u = game.payoff_vector(i, x)
+            xi = x.blocks[i]
+            assert _same_bits(phi[sum(sizes[:i]):sum(sizes[:i + 1])], 1.0 * xi * (u - float(xi @ u)))
