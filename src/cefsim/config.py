@@ -105,17 +105,11 @@ def parse_config_dict(doc: dict) -> ScenarioConfig:
         path = f"eips[{idx}]"
         if not _check_fields(raw, EIP_FIELDS, path, problems):
             continue
-        try:
-            candidate = object.__new__(EipConfig)
-            for f in EIP_FIELDS:
-                object.__setattr__(candidate, f, raw[f])
-            errs = candidate.validation_errors()
-        except (TypeError, ValueError) as exc:
-            errs = [str(exc)]
+        errs = EipConfig.validation_errors(raw)
         if errs:
             problems.extend(_with_field_path(path, e, EIP_FIELDS) for e in errs)
         else:
-            eips.append(EipConfig(**{f: raw[f] for f in EIP_FIELDS}))
+            eips.append(EipConfig(**raw))
     if not doc.get("eips"):
         problems.append("eips: need at least one provider")
 
@@ -124,14 +118,11 @@ def parse_config_dict(doc: dict) -> ScenarioConfig:
         path = f"tasks[{idx}]"
         if not _check_fields(raw, TASK_FIELDS, path, problems):
             continue
-        candidate = object.__new__(TaskSpec)
-        for f in TASK_FIELDS:
-            object.__setattr__(candidate, f, raw[f])
-        errs = candidate.validation_errors()
+        errs = TaskSpec.validation_errors(raw)
         if errs:
             problems.extend(_with_field_path(path, e, TASK_FIELDS) for e in errs)
         else:
-            tasks.append(TaskSpec(**{f: raw[f] for f in TASK_FIELDS}))
+            tasks.append(TaskSpec(**raw))
     if not doc.get("tasks"):
         problems.append("tasks: need at least one task type")
     elif tasks and sum(t.rate for t in tasks) <= 0:
@@ -143,13 +134,11 @@ def parse_config_dict(doc: dict) -> ScenarioConfig:
         problems.append("solver: missing")
     elif _check_fields(raw, SOLVER_FIELDS, "solver", problems,
                        optional=("corrector_iterations", "memory_truncation")):
-        try:
-            solver = SolverConfig(
-                alpha=raw["alpha"], horizon=raw["horizon"], steps=raw["steps"],
-                corrector_iterations=raw.get("corrector_iterations", 1),
-                memory_truncation=raw.get("memory_truncation"))
-        except ValueError as exc:
-            problems.append(f"solver: {exc}")
+        errs = SolverConfig.validation_errors(raw)
+        if errs:
+            problems.extend(_with_field_path("solver", e, SOLVER_FIELDS) for e in errs)
+        else:
+            solver = SolverConfig(**raw)
 
     gamma = doc.get("gamma")
     if gamma is None:

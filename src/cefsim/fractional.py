@@ -3,16 +3,21 @@
 Provides the power-law memory kernel, an L1-type Caputo derivative
 estimator, the Mittag-Leffler function (used as a solver oracle), and an
 Adams-Bashforth-Moulton predictor-corrector for systems of Caputo
-fractional differential equations of order 0 < alpha < 2.
+fractional differential equations of order 0 < alpha < 2.  The solver
+sums the recent history directly and, with full memory, the older
+history by FFT convolution over dyadic blocks, so an N-step run costs
+O(N log^2 N) in its history sums rather than O(N^2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
+
+from ._fields import type_errors
 
 
 def gamma(x: float) -> float:
@@ -135,16 +140,31 @@ class SolverConfig:
     initial_derivative: Optional[np.ndarray] = None  # for 1 < alpha < 2
 
     def __post_init__(self):
-        if not 0 < self.alpha < 2:
-            raise ValueError(f"alpha must be in (0, 2), got {self.alpha}")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be > 0")
-        if self.steps < 2:
-            raise ValueError("need at least 2 steps")
-        if self.corrector_iterations < 1:
-            raise ValueError("corrector_iterations must be >= 1")
-        if self.memory_truncation is not None and self.memory_truncation < 1:
-            raise ValueError("memory_truncation must be >= 1 when given")
+        problems = self.validation_errors(vars(self))
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    @classmethod
+    def validation_errors(cls, raw: Mapping) -> list[str]:
+        """Every problem with a mapping of the fields (absent ones take their
+        defaults); the values are checked only once their types are right."""
+        v = {f.name: raw.get(f.name, f.default) for f in fields(cls)}
+        errs = type_errors(v, ints=("steps", "corrector_iterations"), reals=("alpha", "horizon"))
+        if v["memory_truncation"] is not None:
+            errs += type_errors(v, ints=("memory_truncation",))
+        if errs:
+            return errs
+        if not 0 < v["alpha"] < 2:
+            errs.append(f"alpha must be in (0, 2), got {v['alpha']}")
+        if v["horizon"] <= 0:
+            errs.append("horizon must be > 0")
+        if v["steps"] < 2:
+            errs.append("need at least 2 steps")
+        if v["corrector_iterations"] < 1:
+            errs.append("corrector_iterations must be >= 1")
+        if v["memory_truncation"] is not None and v["memory_truncation"] < 1:
+            errs.append("memory_truncation must be >= 1 when given")
+        return errs
 
     @property
     def h(self) -> float:
@@ -169,15 +189,75 @@ class FdeAbortError(RuntimeError):
         self.step = step
 
 
+def _left_weight(j: int, a: float) -> float:
+    """Exact corrector weight of sample 0 at step j (the left endpoint)."""
+    return j ** (a + 1) - (j - a) * (j + 1) ** a
+
+
+# length unit of the directly summed near history in full-memory runs;
+# 32 to 512 time alike on a 10^4-step run
+FAR_BLOCK = 64
+
+
+class _FarHistory:
+    """Far-field history sums of a full-memory solve, by FFT convolution.
+
+    Row t of `pred` and `corr` holds sum_{m < lo} w[t - m] f_m with
+    lo = FAR_BLOCK * floor(t / FAR_BLOCK), for the predictor weights
+    w = b and the interior corrector weights w = ac; `corr` leaves out
+    m = 0, whose exact weight depends on t.  Once n samples are known,
+    n a multiple of FAR_BLOCK, `add_block(n)` convolves the source block
+    f[n - L:n], L = FAR_BLOCK * lowbit(n / FAR_BLOCK), into the targets
+    [n, n + L): the iterative form of the triangle/square recursion of
+    Hairer, Lubich and Schlichte (1985), as surveyed by Garrappa (2018).
+    The blocks of one target tile [0, lo) exactly, like the binary digits
+    of lo / FAR_BLOCK.
+    """
+
+    def __init__(self, b: np.ndarray, ac: np.ndarray, fhist: np.ndarray, steps: int):
+        self.b, self.ac, self.fhist, self.steps = b, ac, fhist, steps
+        self.pred = np.zeros((steps, fhist.shape[1]))
+        self.corr = np.zeros((steps, fhist.shape[1]))
+        self._spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def add_block(self, n: int) -> None:
+        q = n // FAR_BLOCK
+        L = FAR_BLOCK * (q & -q)
+        hi = min(n + L, self.steps)
+        if hi <= n:
+            return
+        # distances t - m run over [1, 2L), so a size-2L FFT does not wrap
+        size = 2 * L
+        if L not in self._spectra:
+            self._spectra[L] = (np.fft.rfft(self.b[:size], size),
+                                np.fft.rfft(self.ac[:size], size))
+        wb, wac = self._spectra[L]
+        src = self.fhist[n - L:n]
+        # one column at a time keeps the FFT temporaries small
+        for c in range(src.shape[1]):
+            col = src[:, c]
+            spec = np.fft.rfft(col, size)
+            self.pred[n:hi, c] += np.fft.irfft(spec * wb, size)[L:L + hi - n]
+            if n == L:  # the first block: sample 0 is left out of `corr`
+                col = col.copy()
+                col[0] = 0.0
+                spec = np.fft.rfft(col, size)
+            self.corr[n:hi, c] += np.fft.irfft(spec * wac, size)[L:L + hi - n]
+
+
 def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverConfig,
                   postprocess: Callable[[np.ndarray], np.ndarray] | None = None) -> FdeSolution:
     """Integrate D^alpha x = rhs(x), x(0) = x0, on [0, horizon].
 
     Fractional Adams-Bashforth-Moulton predictor-corrector on the
-    equivalent Volterra integral form.  Full-memory quadrature is O(N^2);
-    an optional fixed window truncates the history sums.  `postprocess`,
-    when given, maps each accepted state back into the admissible set
-    before it enters the history.
+    equivalent Volterra integral form.  The history sums at step j split
+    at `lo`: the near part over [lo, j] is summed directly, and with full
+    memory (lo = FAR_BLOCK * floor(j / FAR_BLOCK)) the far part over
+    [0, lo) comes from FFT-convolved dyadic blocks, so the quadrature
+    costs O(N log^2 N).  A window (`memory_truncation` < steps) sets
+    lo = j + 1 - window and drops the far part.  `postprocess`, when
+    given, maps each accepted state back into the admissible set before
+    it enters the history.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     a = config.alpha
@@ -206,25 +286,29 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
     fhist[0] = rhs(x0)
 
     window = config.memory_truncation
+    # a window that covers every step is full memory
+    far = _FarHistory(b, ac, fhist, N) if window is None or window >= N else None
+
     for j in range(N):
         # free part of the Volterra equation at t_{j+1}
         free = x0 if n_order == 1 else x0 + times[j + 1] * dx0
-        lo = 0 if window is None else max(0, j + 1 - window)
+        lo = max(0, j + 1 - window) if far is None else j - j % FAR_BLOCK
 
-        # predictor: fractional rectangle rule over the retained history
+        # predictor: fractional rectangle rule over the near history
         wp = b_rev[N - j + lo:]
-        xp = free + c_pred * (wp @ fhist[lo:j + 1])
+        hp = wp @ fhist[lo:j + 1]
 
-        # corrector: fractional trapezoid weights; the oldest retained
-        # sample carries the exact left-endpoint weight only in the
-        # untruncated case
+        # corrector: fractional trapezoid weights; sample 0 carries the
+        # exact left-endpoint weight, a later oldest near sample the
+        # interior one
         wc = ac_rev[N + 1 - j + lo:]
         hist = wc @ fhist[lo + 1:j + 1] if j > lo else 0.0
-        if lo == 0:
-            a0 = j ** (a + 1) - (j - a) * (j + 1) ** a
-        else:
-            a0 = ac[j - lo]
+        a0 = _left_weight(j, a) if lo == 0 else ac[j - lo]
         hist = hist + a0 * fhist[lo]
+        if far is not None and lo:
+            hp += far.pred[j]
+            hist += far.corr[j] + _left_weight(j, a) * fhist[0]
+        xp = free + c_pred * hp
 
         xc = xp
         for _ in range(config.corrector_iterations):
@@ -238,5 +322,7 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
             xc = postprocess(xc)
         states[j + 1] = xc
         fhist[j + 1] = rhs(xc)
+        if far is not None and (j + 2) % FAR_BLOCK == 0:
+            far.add_block(j + 2)
 
     return FdeSolution(times=times, states=states, corrector_residuals=resid, config=config)

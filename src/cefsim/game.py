@@ -14,9 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
+
+from ._fields import type_errors
 
 SIMPLEX_TOL = 1e-9
 
@@ -34,27 +36,33 @@ class EipConfig:
     capacity: int            # W_i: total worker capacity
 
     def __post_init__(self):
-        problems = self.validation_errors()
+        problems = self.validation_errors(vars(self))
         if problems:
             raise ValueError("; ".join(problems))
 
-    def validation_errors(self) -> list[str]:
-        errs = []
-        if self.num_clouds < 1:
+    @classmethod
+    def validation_errors(cls, raw: Mapping) -> list[str]:
+        """Every problem with a mapping of all the fields; the values are
+        checked only once their types are right."""
+        errs = type_errors(raw, ints=("index", "num_clouds", "max_workers", "capacity"),
+                           reals=("fixed_cost", "calibration_ratio", "cpu_cost"))
+        if errs:
+            return errs
+        if raw["num_clouds"] < 1:
             errs.append("num_clouds must be >= 1")
-        if self.max_workers < 1:
+        if raw["max_workers"] < 1:
             errs.append("max_workers must be >= 1")
-        if self.capacity < self.num_clouds * self.max_workers:
+        if raw["capacity"] < raw["num_clouds"] * raw["max_workers"]:
             errs.append(
                 "capacity must cover simultaneous max contribution "
-                f"(capacity={self.capacity} < num_clouds*max_workers="
-                f"{self.num_clouds * self.max_workers})"
+                f"(capacity={raw['capacity']} < num_clouds*max_workers="
+                f"{raw['num_clouds'] * raw['max_workers']})"
             )
-        if self.fixed_cost < 0:
+        if raw["fixed_cost"] < 0:
             errs.append("fixed_cost must be >= 0")
-        if self.cpu_cost < 0:
+        if raw["cpu_cost"] < 0:
             errs.append("cpu_cost must be >= 0")
-        if not 0 < self.calibration_ratio <= 1:
+        if not 0 < raw["calibration_ratio"] <= 1:
             errs.append("calibration_ratio must be in (0, 1]")
         return errs
 
@@ -76,16 +84,21 @@ class TaskSpec:
     rate: float       # task arrival rate (lambda)
 
     def __post_init__(self):
-        problems = self.validation_errors()
+        problems = self.validation_errors(vars(self))
         if problems:
             raise ValueError("; ".join(problems))
 
-    def validation_errors(self) -> list[str]:
-        errs = []
-        if not 1 <= self.k <= self.n:
+    @classmethod
+    def validation_errors(cls, raw: Mapping) -> list[str]:
+        """Every problem with a mapping of all the fields; the values are
+        checked only once their types are right."""
+        errs = type_errors(raw, ints=("n", "k"), reals=("r0", "r1", "r2", "cycles", "rate"))
+        if errs:
+            return errs
+        if not 1 <= raw["k"] <= raw["n"]:
             errs.append("k must satisfy 1 <= k <= n")
         for name in ("r0", "r1", "r2", "cycles", "rate"):
-            if getattr(self, name) < 0:
+            if raw[name] < 0:
                 errs.append(f"{name} must be >= 0")
         return errs
 

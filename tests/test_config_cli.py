@@ -201,3 +201,20 @@ def test_cli_sweep_precheck_names_grid_value(tmp_path, fast_config, capsys):
     err = capsys.readouterr().err
     assert "W1=300" in err and "capacity" in err
     assert "W1=400" not in err
+
+
+@pytest.mark.parametrize("section,field,value", [
+    ("tasks", "k", "four"), ("tasks", "rate", None), ("tasks", "r0", [1]),
+    ("tasks", "n", 6.0), ("eips", "max_workers", 4.0),
+    ("solver", "steps", 100.5), ("solver", "steps", "100"), ("solver", "steps", True),
+    ("solver", "memory_truncation", 2.5), ("solver", "memory_truncation", "10"),
+])
+def test_cli_mistyped_field_is_config_error(tmp_path, doc, capsys, section, field, value):
+    # a mistyped value is a config error naming the field, never a traceback
+    target = doc[section] if section == "solver" else doc[section][0]
+    target[field] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert main(["simulate", str(p), "--out-dir", str(tmp_path / "o")]) == 1
+    path = f"{section}.{field}" if section == "solver" else f"{section}[0].{field}"
+    assert f"{path}: {field} must be" in capsys.readouterr().err

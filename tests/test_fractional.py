@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cefsim.fractional import (FdeAbortError, MemoryKernel, SolverConfig,
-                               caputo_derivative_estimate, gamma,
+from cefsim.fractional import (FAR_BLOCK, FdeAbortError, MemoryKernel,
+                               SolverConfig, caputo_derivative_estimate, gamma,
                                memory_weight, mittag_leffler, solve_fde_ivp)
 
 
@@ -121,8 +121,15 @@ def test_solver_config_validation():
         SolverConfig(alpha=0.8, horizon=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(alpha=0.8, steps=1)
+    for bad in ({"steps": 100.5}, {"steps": "100"}, {"steps": True},
+                {"memory_truncation": 2.5}, {"memory_truncation": "10"},
+                {"memory_truncation": False}, {"alpha": "0.8"}):
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            SolverConfig(**{"alpha": 0.8, **bad})
     cfg = SolverConfig(alpha=0.8, horizon=2.0, steps=400)
     assert cfg.h == pytest.approx(0.005)
+    assert SolverConfig(alpha=0.8, steps=np.int64(300)).steps == 300
 
 
 def test_stationary_field_stays_put():
@@ -169,10 +176,12 @@ def test_initial_derivative_free_term():
 
 
 def test_full_window_truncation_matches_full_memory():
+    # a window that covers every step is full memory, far field included
     full = solve_fde_ivp(lambda y: -y, [1.0], SolverConfig(alpha=0.8, steps=200))
-    windowed = solve_fde_ivp(lambda y: -y, [1.0],
-                             SolverConfig(alpha=0.8, steps=200, memory_truncation=200))
-    assert np.allclose(full.states, windowed.states, atol=1e-14)
+    for w in (200, 201, 10_000):
+        windowed = solve_fde_ivp(lambda y: -y, [1.0],
+                                 SolverConfig(alpha=0.8, steps=200, memory_truncation=w))
+        assert np.array_equal(full.states, windowed.states)
 
 
 def test_truncation_error_shrinks_with_window():
@@ -199,3 +208,112 @@ def test_determinism():
     a = solve_fde_ivp(lambda y: -y + 0.1 * y ** 2, [0.9], cfg)
     b = solve_fde_ivp(lambda y: -y + 0.1 * y ** 2, [0.9], cfg)
     assert np.array_equal(a.states, b.states)
+
+
+# ------------------------------------------- far-field quadrature oracle
+
+def direct_solve(rhs, x0, config, postprocess=None):
+    """The O(N^2) direct-sum solver that the near/far split replaced,
+    kept verbatim as the reference for the split quadrature."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    a = config.alpha
+    N = config.steps
+    h = config.h
+    n_order = 1 if a <= 1 else 2
+    if n_order == 2:
+        dx0 = config.initial_derivative
+        dx0 = np.zeros_like(x0) if dx0 is None else np.atleast_1d(np.asarray(dx0, dtype=float))
+    times = np.linspace(0.0, config.horizon, N + 1)
+
+    # quadrature weights indexed by step distance d = j - m
+    d = np.arange(N + 1, dtype=float)
+    b = (d + 1) ** a - d ** a                                   # predictor
+    ac = (d + 2) ** (a + 1) + d ** (a + 1) - 2 * (d + 1) ** (a + 1)  # corrector, interior
+    c_pred = h ** a / gamma(a + 1)
+    c_corr = h ** a / gamma(a + 2)
+    # reversed views: b_rev[N + 1 - m:] is b[:m][::-1], the same strided view
+    b_rev, ac_rev = b[::-1], ac[::-1]
+
+    states = np.empty((N + 1, x0.size))
+    fhist = np.empty((N + 1, x0.size))
+    resid = np.zeros(N + 1)
+    update = np.empty(x0.size)  # scratch for the last corrector update
+    states[0] = x0
+    fhist[0] = rhs(x0)
+
+    window = config.memory_truncation
+    for j in range(N):
+        # free part of the Volterra equation at t_{j+1}
+        free = x0 if n_order == 1 else x0 + times[j + 1] * dx0
+        lo = 0 if window is None else max(0, j + 1 - window)
+
+        # predictor: fractional rectangle rule over the retained history
+        wp = b_rev[N - j + lo:]
+        xp = free + c_pred * (wp @ fhist[lo:j + 1])
+
+        # corrector: fractional trapezoid weights; the oldest retained
+        # sample carries the exact left-endpoint weight only in the
+        # untruncated case
+        wc = ac_rev[N + 1 - j + lo:]
+        hist = wc @ fhist[lo + 1:j + 1] if j > lo else 0.0
+        if lo == 0:
+            a0 = j ** (a + 1) - (j - a) * (j + 1) ** a
+        else:
+            a0 = ac[j - lo]
+        hist = hist + a0 * fhist[lo]
+
+        xc = xp
+        for _ in range(config.corrector_iterations):
+            fc = rhs(xc)
+            xnew = free + c_corr * (hist + fc)
+            resid[j + 1] = np.abs(np.subtract(xnew, xc, out=update), out=update).max()
+            xc = xnew
+        if not np.isfinite(xc).all():
+            raise FdeAbortError(j + 1)
+        if postprocess is not None:
+            xc = postprocess(xc)
+        states[j + 1] = xc
+        fhist[j + 1] = rhs(xc)
+
+    return states
+
+
+def _mixed_field(y):
+    return -y + 0.1 * np.sin(3 * y[::-1])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0, 1.5])
+def test_far_field_matches_direct_sums(alpha):
+    x0 = [1.0, 0.4]
+    for n in (FAR_BLOCK - 1, FAR_BLOCK, 1000, 3000):
+        cfg = SolverConfig(alpha=alpha, steps=n)
+        got = solve_fde_ivp(_mixed_field, x0, cfg).states
+        want = direct_solve(_mixed_field, x0, cfg)
+        if n <= FAR_BLOCK:
+            # no step has history older than one block: the same sums
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_far_field_with_initial_derivative():
+    cfg = SolverConfig(alpha=1.4, steps=1500, initial_derivative=[0.5, -1.0])
+    got = solve_fde_ivp(_mixed_field, [1.0, 0.4], cfg).states
+    want = direct_solve(_mixed_field, [1.0, 0.4], cfg)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_mittag_leffler_far_field_matches_direct_sums():
+    for a in (0.5, 0.8, 1.3):
+        cfg = SolverConfig(alpha=a, steps=2500)
+        got = solve_fde_ivp(lambda y: -y, [1.0], cfg).states
+        assert np.max(np.abs(got - direct_solve(lambda y: -y, [1.0], cfg))) < 1e-12
+
+
+@pytest.mark.parametrize("window", [1, 37, 100])
+def test_windowed_runs_keep_direct_sums_bit_for_bit(window):
+    # a window drops the far part, so its sums are the direct ones
+    for a in (0.8, 1.5):
+        cfg = SolverConfig(alpha=a, steps=1000, memory_truncation=window)
+        assert np.array_equal(solve_fde_ivp(_mixed_field, [1.0, 0.4], cfg).states,
+                              direct_solve(_mixed_field, [1.0, 0.4], cfg))
