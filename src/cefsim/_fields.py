@@ -22,7 +22,11 @@ def type_errors(raw: Mapping, ints: Sequence[str] = (), reals: Sequence[str] = (
         if isinstance(v, bool) or not isinstance(v, Integral):
             errs.append(f"{name} must be an integer, got {v!r}")
     for name in reals:
-        v = raw[name]
-        if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
-            errs.append(f"{name} must be a finite number, got {v!r}")
+        if not is_real(raw[name]):
+            errs.append(f"{name} must be a finite number, got {raw[name]!r}")
     return errs
+
+
+def is_real(v) -> bool:
+    """A finite integer or float; a boolean is not a number."""
+    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)

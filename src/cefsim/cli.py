@@ -82,11 +82,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    try:
-        traj = simulate(game, config.initial_mixed_profile(), solver, config.gamma)
-    except FdeAbortError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    traj = simulate(game, config.initial_mixed_profile(), solver, config.gamma)
     report = detect_convergence(traj)
     meta = _metadata(config, solver.alpha)
 

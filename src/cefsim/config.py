@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._fields import is_real
 from .fractional import SolverConfig
 from .game import EipConfig, MixedStrategyProfile, TaskSpec
 
@@ -51,13 +52,7 @@ class ScenarioConfig:
         return {
             "eips": [{f: getattr(e, f) for f in EIP_FIELDS} for e in self.eips],
             "tasks": [{f: getattr(t, f) for f in TASK_FIELDS} for t in self.tasks],
-            "solver": {
-                "alpha": self.solver.alpha,
-                "horizon": self.solver.horizon,
-                "steps": self.solver.steps,
-                "corrector_iterations": self.solver.corrector_iterations,
-                "memory_truncation": self.solver.memory_truncation,
-            },
+            "solver": {f: getattr(self.solver, f) for f in SOLVER_FIELDS},
             "gamma": self.gamma,
             "initial_profile": (None if self.initial_profile is None
                                 else [list(b) for b in self.initial_profile]),
@@ -95,74 +90,80 @@ def _with_field_path(path: str, err: str, fields) -> str:
     return f"{path}.{first}: {err}" if first in fields else f"{path}: {err}"
 
 
+def _is_json(value, kind: type, path: str, problems: list[str]) -> bool:
+    """Whether `value` has JSON type `kind` (list or dict); else a problem."""
+    if isinstance(value, kind):
+        return True
+    problems.append(f"{path}: must be {'a list' if kind is list else 'an object'}, got {value!r}")
+    return False
+
+
 def parse_config_dict(doc: dict) -> ScenarioConfig:
     problems: list[str] = []
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be an object"])
 
-    eips = []
-    for idx, raw in enumerate(doc.get("eips") or []):
-        path = f"eips[{idx}]"
-        if not _check_fields(raw, EIP_FIELDS, path, problems):
-            continue
-        errs = EipConfig.validation_errors(raw)
-        if errs:
-            problems.extend(_with_field_path(path, e, EIP_FIELDS) for e in errs)
-        else:
-            eips.append(EipConfig(**raw))
-    if not doc.get("eips"):
-        problems.append("eips: need at least one provider")
-
-    tasks = []
-    for idx, raw in enumerate(doc.get("tasks") or []):
-        path = f"tasks[{idx}]"
-        if not _check_fields(raw, TASK_FIELDS, path, problems):
-            continue
-        errs = TaskSpec.validation_errors(raw)
-        if errs:
-            problems.extend(_with_field_path(path, e, TASK_FIELDS) for e in errs)
-        else:
-            tasks.append(TaskSpec(**raw))
-    if not doc.get("tasks"):
-        problems.append("tasks: need at least one task type")
-    elif tasks and sum(t.rate for t in tasks) <= 0:
+    parsed = {}
+    for key, cls, names, noun in (("eips", EipConfig, EIP_FIELDS, "provider"),
+                                  ("tasks", TaskSpec, TASK_FIELDS, "task type")):
+        parsed[key] = []
+        if not doc.get(key):
+            problems.append(f"{key}: need at least one {noun}")
+        elif _is_json(doc[key], list, key, problems):
+            for idx, raw in enumerate(doc[key]):
+                path = f"{key}[{idx}]"
+                if _is_json(raw, dict, path, problems) and _check_fields(raw, names, path, problems):
+                    errs = cls.validation_errors(raw)
+                    problems.extend(_with_field_path(path, e, names) for e in errs)
+                    if not errs:
+                        parsed[key].append(cls(**raw))
+    eips, tasks = parsed["eips"], parsed["tasks"]
+    if tasks and sum(t.rate for t in tasks) <= 0:
         problems.append("tasks: arrival rates must not all be zero")
 
     solver = None
     raw = doc.get("solver")
     if raw is None:
         problems.append("solver: missing")
-    elif _check_fields(raw, SOLVER_FIELDS, "solver", problems,
-                       optional=("corrector_iterations", "memory_truncation")):
+    elif _is_json(raw, dict, "solver", problems) and _check_fields(
+            raw, SOLVER_FIELDS, "solver", problems,
+            optional=("corrector_iterations", "memory_truncation")):
         errs = SolverConfig.validation_errors(raw)
-        if errs:
-            problems.extend(_with_field_path("solver", e, SOLVER_FIELDS) for e in errs)
-        else:
+        problems.extend(_with_field_path("solver", e, SOLVER_FIELDS) for e in errs)
+        if not errs:
             solver = SolverConfig(**raw)
 
     gamma = doc.get("gamma")
     if gamma is None:
         problems.append("gamma: missing")
-    elif not isinstance(gamma, (int, float)) or gamma <= 0:
+    elif not is_real(gamma) or gamma <= 0:
         problems.append(f"gamma: must be a number > 0, got {gamma!r}")
 
-    flags = doc.get("flags") or {}
-    literal = bool(flags.get("utilization_cost_literal", False))
-    for f in flags:
-        if f not in ("utilization_cost_literal",):
-            problems.append(f"flags.{f}: unknown flag")
+    literal = False
+    flags = doc.get("flags")
+    if flags is not None and _is_json(flags, dict, "flags", problems):
+        for f, v in flags.items():
+            if f != "utilization_cost_literal":
+                problems.append(f"flags.{f}: unknown flag")
+            elif not isinstance(v, bool):
+                problems.append(f"flags.{f}: {f} must be true or false, got {v!r}")
+            else:
+                literal = v
 
     initial = doc.get("initial_profile")
-    if initial is not None and eips and len(eips) == len(doc.get("eips") or []):
-        if len(initial) != len(eips):
+    if initial is not None and _is_json(initial, list, "initial_profile", problems):
+        sizes = [e.num_strategies for e in eips] if eips and len(eips) == len(doc["eips"]) else None
+        if sizes and len(initial) != len(sizes):
             problems.append("initial_profile: one block per provider required")
-        else:
-            for i, (block, e) in enumerate(zip(initial, eips)):
-                if len(block) != e.num_strategies:
-                    problems.append(f"initial_profile[{i}]: expected length "
-                                    f"{e.num_strategies}, got {len(block)}")
-                elif abs(sum(block) - 1.0) > 1e-9 or any(v < 0 for v in block):
-                    problems.append(f"initial_profile[{i}]: not a probability vector")
+            sizes = None
+        for i, block in enumerate(initial):
+            path = f"initial_profile[{i}]"
+            if not (isinstance(block, list) and all(map(is_real, block))):
+                problems.append(f"{path}: must be a list of finite numbers, got {block!r}")
+            elif sizes and len(block) != sizes[i]:
+                problems.append(f"{path}: expected length {sizes[i]}, got {len(block)}")
+            elif abs(sum(block) - 1.0) > 1e-9 or any(v < 0 for v in block):
+                problems.append(f"{path}: not a probability vector")
 
     if problems:
         raise ConfigError(problems)

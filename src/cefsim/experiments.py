@@ -1,14 +1,13 @@
 """Batch studies over the federation game: parameter sweeps, the
 convergence-time study across fractional orders, and the memory-kernel
 study.  All outputs are deterministic tables (lists of dicts in fixed
-row order); concurrency never affects ordering.
+row order), computed in order on the calling thread.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,15 +18,15 @@ from .game import EipConfig, FederationGame, MixedStrategyProfile, TaskSpec
 SWEEPABLE = ("W1", "E1", "r1", "n", "k")
 
 
-def _thread_count() -> int:
+def _check_thread_env() -> None:
+    """`CEF_THREADS` must be 0 or a positive integer; sweep rows ignore it."""
     raw = os.environ.get("CEF_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
-        raise ValueError(f"CEF_THREADS must be an integer, got {raw!r}")
+        n = -1
     if n < 0:
-        raise ValueError("CEF_THREADS must be >= 0")
-    return n if n > 0 else (os.cpu_count() or 1)
+        raise ValueError(f"CEF_THREADS must be 0 or a positive integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -88,12 +87,9 @@ def _sweep_row(spec: SweepSpec, value) -> dict:
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """One row per grid value, in grid order regardless of scheduling."""
-    workers = _thread_count()
-    if workers == 1:
-        return [_sweep_row(spec, v) for v in spec.grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda v: _sweep_row(spec, v), spec.grid))
+    """One row per grid value, computed in grid order on the calling thread."""
+    _check_thread_env()
+    return [_sweep_row(spec, v) for v in spec.grid]
 
 
 def convergence_study(alpha_set: Sequence[float], eips, tasks, solver: SolverConfig,

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -208,13 +209,28 @@ def test_cli_sweep_precheck_names_grid_value(tmp_path, fast_config, capsys):
     ("tasks", "n", 6.0), ("eips", "max_workers", 4.0),
     ("solver", "steps", 100.5), ("solver", "steps", "100"), ("solver", "steps", True),
     ("solver", "memory_truncation", 2.5), ("solver", "memory_truncation", "10"),
+    # field None: the whole section is replaced by a value of the wrong JSON type
+    ("eips", None, [5]), ("eips", None, 5), ("tasks", None, "x"),
+    ("solver", None, [1]), ("flags", None, [1]), ("gamma", None, True),
+    ("initial_profile", None, 5),
+    ("initial_profile", None, [[0.2] * 5, ["a"] + [0.0] * 8]),
+    ("flags", "utilization_cost_literal", "no"),
 ])
 def test_cli_mistyped_field_is_config_error(tmp_path, doc, capsys, section, field, value):
     # a mistyped value is a config error naming the field, never a traceback
-    target = doc[section] if section == "solver" else doc[section][0]
-    target[field] = value
+    if field is None:
+        doc[section] = value
+    else:
+        target = doc[section] if section in ("solver", "flags") else doc[section][0]
+        target[field] = value
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(doc))
     assert main(["simulate", str(p), "--out-dir", str(tmp_path / "o")]) == 1
-    path = f"{section}.{field}" if section == "solver" else f"{section}[0].{field}"
-    assert f"{path}: {field} must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if field is None:
+        # the section, or one of its entries, is named
+        assert re.search(rf"^  {section}(\[\d+\])?: must be", err, re.M), err
+    else:
+        path = (f"{section}.{field}" if section in ("solver", "flags")
+                else f"{section}[0].{field}")
+        assert f"{path}: {field} must be" in err

@@ -1,6 +1,10 @@
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 
+from cefsim import experiments
 from cefsim.evolution import detect_convergence, simulate
 from cefsim.experiments import (SweepSpec, convergence_study, kernel_study,
                                 run_sweep)
@@ -53,6 +57,21 @@ def test_sweep_thread_invariance(monkeypatch):
     monkeypatch.setenv("CEF_THREADS", "3")
     threaded = run_sweep(spec)
     assert serial == threaded
+
+
+def test_sweep_rows_run_on_calling_thread(monkeypatch):
+    # CEF_THREADS is accepted, but every row runs in grid order on the caller
+    seen, row = [], experiments._sweep_row
+    def recording_row(spec, value):
+        seen.append((value, threading.get_ident()))
+        return row(spec, value)
+    monkeypatch.setattr(experiments, "_sweep_row", recording_row)
+    monkeypatch.setenv("CEF_THREADS", "3")
+    spec = dataclasses.replace(_spec("r1", (20, 30, 40)),
+                               solver=dataclasses.replace(FAST, steps=100))
+    rows = run_sweep(spec)
+    assert [r["r1"] for r in rows] == [20, 30, 40]
+    assert seen == [(v, threading.get_ident()) for v in (20, 30, 40)]
 
 
 def test_sweep_deterministic(monkeypatch):
