@@ -36,7 +36,7 @@ from .evolution import (
     project_simplex,
     calibrate_gamma,
 )
-from .experiments import SweepSpec, run_sweep, convergence_study, kernel_study
+from .experiments import SweepSpec, run_sweep, kernel_study
 from .config import ScenarioConfig, ConfigError, parse_config, emit_config
 
 __all__ = [
@@ -48,6 +48,6 @@ __all__ = [
     "Trajectory", "EquilibriumReport", "simulate", "detect_convergence",
     "direction_field", "stability_probe", "stability_weight",
     "estimate_lipschitz", "project_simplex", "calibrate_gamma",
-    "SweepSpec", "run_sweep", "convergence_study", "kernel_study",
+    "SweepSpec", "run_sweep", "kernel_study",
     "ScenarioConfig", "ConfigError", "parse_config", "emit_config",
 ]

@@ -20,7 +20,7 @@ from .config import ConfigError, ScenarioConfig, parse_config
 from .evolution import detect_convergence, direction_field, simulate
 from .experiments import SWEEPABLE, SweepSpec, kernel_study, run_sweep
 from .fractional import FdeAbortError
-from .game import FederationGame, MixedStrategyProfile
+from .game import MixedStrategyProfile
 from . import svgplot
 
 EXIT_OK = 0
@@ -49,11 +49,6 @@ def _meta_comment(meta: dict) -> str:
     return "# " + " ".join(f"{k}={v}" for k, v in meta.items())
 
 
-def _game(config: ScenarioConfig) -> FederationGame:
-    return FederationGame(config.eips, config.tasks,
-                          literal_utilization_cost=config.utilization_cost_literal)
-
-
 def _solver(config: ScenarioConfig, alpha: float | None):
     solver = config.solver
     if alpha is not None:
@@ -78,11 +73,10 @@ def _parse_grid(text: str) -> list[float]:
 def cmd_simulate(args) -> int:
     config = parse_config(args.config)
     solver = _solver(config, args.alpha)
-    game = _game(config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    traj = simulate(game, config.initial_mixed_profile(), solver, config.gamma)
+    traj = simulate(config.game(), config.initial_mixed_profile(), solver, config.gamma)
     report = detect_convergence(traj)
     meta = _metadata(config, solver.alpha)
 
@@ -115,27 +109,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = parse_config(args.config)
-    grid = _parse_grid(args.grid)
-    if args.param in ("W1", "E1", "n", "k"):
-        grid = [int(v) for v in grid]
-    spec = SweepSpec(parameter=args.param, grid=tuple(grid), eips=config.eips,
-                     tasks=config.tasks, solver=_solver(config, args.alpha),
-                     gamma=config.gamma,
-                     literal_utilization_cost=config.utilization_cost_literal)
-    # each grid scenario must satisfy the config invariants up front
-    problems = []
-    for v in grid:
-        try:
-            spec.scenario_at(v)
-        except ValueError as exc:
-            problems.append(f"{args.param}={v}: {exc}")
-    if problems:
-        raise ConfigError(problems)
-
+    # integral values become ints, which the integer parameters require
+    grid = tuple(int(v) if v.is_integer() else v for v in _parse_grid(args.grid))
+    spec = SweepSpec(args.param, grid,
+                     dataclasses.replace(config, solver=_solver(config, args.alpha)))
     rows = run_sweep(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    meta = _metadata(config, spec.solver.alpha)
+    meta = _metadata(config, spec.base.solver.alpha)
     cols = list(rows[0].keys())
     lines = [_meta_comment(meta), ",".join(cols)]
     for row in rows:
@@ -171,7 +152,7 @@ def cmd_field(args) -> int:
     solver = _solver(config, args.alpha)
     values = _parse_grid(args.grid_spec)
     grid = _field_grid(config, values)
-    polylines = direction_field(_game(config), grid, solver, config.gamma,
+    polylines = direction_field(config.game(), grid, solver, config.gamma,
                                 stride=args.stride)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -15,12 +15,13 @@ import numpy as np
 
 from ._fields import is_real
 from .fractional import SolverConfig
-from .game import EipConfig, MixedStrategyProfile, TaskSpec
+from .game import EipConfig, FederationGame, MixedStrategyProfile, TaskSpec
 
 EIP_FIELDS = ("index", "num_clouds", "max_workers", "fixed_cost",
               "calibration_ratio", "cpu_cost", "capacity")
 TASK_FIELDS = ("n", "k", "r0", "r1", "r2", "cycles", "rate")
 SOLVER_FIELDS = ("alpha", "horizon", "steps", "corrector_iterations", "memory_truncation")
+TOP_FIELDS = ("eips", "tasks", "solver", "gamma", "initial_profile", "flags")
 
 
 class ConfigError(ValueError):
@@ -41,6 +42,10 @@ class ScenarioConfig:
     gamma: float
     initial_profile: Optional[tuple[tuple[float, ...], ...]] = None  # None = uniform
     utilization_cost_literal: bool = False
+
+    def game(self) -> FederationGame:
+        return FederationGame(self.eips, self.tasks,
+                              literal_utilization_cost=self.utilization_cost_literal)
 
     def initial_mixed_profile(self) -> MixedStrategyProfile:
         if self.initial_profile is None:
@@ -99,9 +104,9 @@ def _is_json(value, kind: type, path: str, problems: list[str]) -> bool:
 
 
 def parse_config_dict(doc: dict) -> ScenarioConfig:
-    problems: list[str] = []
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be an object"])
+    problems = [f"{key}: unknown field" for key in doc if key not in TOP_FIELDS]
 
     parsed = {}
     for key, cls, names, noun in (("eips", EipConfig, EIP_FIELDS, "provider"),

@@ -9,7 +9,7 @@ replicator field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -289,9 +289,7 @@ def calibrate_gamma(game: FederationGame, x_init: MixedStrategyProfile,
     a genuine rest point (residual guard: a speed so small the dynamics
     barely move would satisfy the adjacency test vacuously).
     """
-    classical = SolverConfig(alpha=1.0, horizon=solver.horizon, steps=solver.steps,
-                             corrector_iterations=solver.corrector_iterations,
-                             memory_truncation=solver.memory_truncation)
+    classical = replace(solver, alpha=1.0)
     for gamma in candidates:
         traj = simulate(game, x_init, classical, gamma)
         rep = detect_convergence(traj)

@@ -1,7 +1,7 @@
-"""Batch studies over the federation game: parameter sweeps, the
-convergence-time study across fractional orders, and the memory-kernel
-study.  All outputs are deterministic tables (lists of dicts in fixed
-row order), computed in order on the calling thread.
+"""Batch studies over the federation game: parameter sweeps (the
+fractional order among them) and the memory-kernel study.  All outputs
+are deterministic tables (lists of dicts in fixed row order), computed
+in order on the calling thread.
 """
 
 from __future__ import annotations
@@ -9,13 +9,13 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
+from .config import ConfigError, ScenarioConfig
 from .evolution import detect_convergence, simulate
-from .fractional import MemoryKernel, SolverConfig, memory_weight
-from .game import EipConfig, FederationGame, MixedStrategyProfile, TaskSpec
+from .fractional import MemoryKernel, memory_weight
 
-SWEEPABLE = ("W1", "E1", "r1", "n", "k")
+SWEEPABLE = ("W1", "E1", "r1", "n", "k", "alpha")
 
 
 def _check_thread_env() -> None:
@@ -31,16 +31,11 @@ def _check_thread_env() -> None:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-parameter sweep over otherwise fixed base scenario."""
+    """One-parameter sweep over an otherwise fixed base scenario."""
 
     parameter: str                    # one of SWEEPABLE
     grid: tuple
-    eips: tuple[EipConfig, ...]
-    tasks: tuple[TaskSpec, ...]
-    solver: SolverConfig
-    gamma: float
-    literal_utilization_cost: bool = False
-    initial_profile: Optional[MixedStrategyProfile] = None
+    base: ScenarioConfig
 
     def __post_init__(self):
         if self.parameter not in SWEEPABLE:
@@ -51,35 +46,43 @@ class SweepSpec:
         diffs = [b - a for a, b in zip(self.grid, self.grid[1:])]
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValueError("sweep grid must be strictly monotone")
+        # each grid scenario must satisfy the config invariants up front
+        problems = []
+        for v in self.grid:
+            try:
+                self.scenario_at(v)
+            except ValueError as exc:
+                problems.append(f"{self.parameter}={v}: {exc}")
+        if problems:
+            raise ConfigError(problems)
 
-    def scenario_at(self, value) -> tuple[tuple[EipConfig, ...], tuple[TaskSpec, ...]]:
-        eips, tasks = self.eips, self.tasks
-        if self.parameter == "W1":
-            eips = (dataclasses.replace(eips[0], capacity=int(value)),) + eips[1:]
-        elif self.parameter == "E1":
-            eips = (dataclasses.replace(eips[0], num_clouds=int(value)),) + eips[1:]
-        elif self.parameter == "r1":
-            tasks = tuple(dataclasses.replace(t, r1=float(value)) for t in tasks)
-        elif self.parameter == "n":
-            tasks = tuple(dataclasses.replace(t, n=int(value)) for t in tasks)
-        elif self.parameter == "k":
-            tasks = tuple(dataclasses.replace(t, k=int(value)) for t in tasks)
-        return eips, tasks
+    def scenario_at(self, value) -> ScenarioConfig:
+        """The base scenario with the swept parameter set to `value`; W1
+        and E1 are provider 1's capacity and cloud count, r1, n and k
+        apply to every task type, and alpha is the fractional order."""
+        base, p = self.base, self.parameter
+        if p == "alpha":
+            return dataclasses.replace(
+                base, solver=dataclasses.replace(base.solver, alpha=float(value)))
+        if p in ("W1", "E1"):
+            first = dataclasses.replace(
+                base.eips[0], **{"capacity" if p == "W1" else "num_clouds": value})
+            return dataclasses.replace(base, eips=(first,) + base.eips[1:])
+        value = float(value) if p == "r1" else value
+        return dataclasses.replace(
+            base, tasks=tuple(dataclasses.replace(t, **{p: value}) for t in base.tasks))
 
 
 def _sweep_row(spec: SweepSpec, value) -> dict:
-    eips, tasks = spec.scenario_at(value)
-    game = FederationGame(eips, tasks,
-                          literal_utilization_cost=spec.literal_utilization_cost)
-    x0 = spec.initial_profile or MixedStrategyProfile.uniform(eips)
-    traj = simulate(game, x0, spec.solver, spec.gamma)
-    rep = detect_convergence(traj)
+    sc = spec.scenario_at(value)
+    rep = detect_convergence(simulate(sc.game(), sc.initial_mixed_profile(),
+                                      sc.solver, sc.gamma))
     return {
         spec.parameter: value,
         "x1_last": float(rep.equilibrium.blocks[0][-1]),
-        "x2_last": float(rep.equilibrium.blocks[1][-1]) if len(eips) > 1 else float("nan"),
+        "x2_last": float(rep.equilibrium.blocks[1][-1]) if len(sc.eips) > 1 else float("nan"),
         "u1": rep.utilities[0],
-        "u2": rep.utilities[1] if len(eips) > 1 else float("nan"),
+        "u2": rep.utilities[1] if len(sc.eips) > 1 else float("nan"),
         "t_adjacency": rep.t_adjacency,
         "t_neighborhood": rep.t_neighborhood,
         "residual": rep.residual,
@@ -90,24 +93,6 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     """One row per grid value, computed in grid order on the calling thread."""
     _check_thread_env()
     return [_sweep_row(spec, v) for v in spec.grid]
-
-
-def convergence_study(alpha_set: Sequence[float], eips, tasks, solver: SolverConfig,
-                      gamma: float, literal_utilization_cost: bool = False,
-                      initial_profile: Optional[MixedStrategyProfile] = None) -> list[dict]:
-    """Convergence times of the same scenario across fractional orders."""
-    game = FederationGame(eips, tasks,
-                          literal_utilization_cost=literal_utilization_cost)
-    x0 = initial_profile or MixedStrategyProfile.uniform(eips)
-    rows = []
-    for a in sorted(alpha_set):
-        cfg = dataclasses.replace(solver, alpha=a)
-        rep = detect_convergence(simulate(game, x0, cfg, gamma))
-        rows.append({"alpha": a, "t_adjacency": rep.t_adjacency,
-                     "t_neighborhood": rep.t_neighborhood,
-                     "x1_last": float(rep.equilibrium.blocks[0][-1]),
-                     "residual": rep.residual})
-    return rows
 
 
 def kernel_study(alpha_set: Sequence[float], deltas: Sequence[float],

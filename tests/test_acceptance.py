@@ -20,6 +20,7 @@ from cefsim.fractional import SolverConfig, mittag_leffler, solve_fde_ivp, \
     caputo_derivative_estimate
 from cefsim.game import (EipConfig, FederationGame, MixedStrategyProfile,
                          TaskSpec, joint_assignment_pmf, recovery_pmf)
+from cefsim.config import ScenarioConfig
 from cefsim.experiments import SweepSpec, run_sweep
 
 GAMMA = 0.42  # bundled-scenario adaptation speed
@@ -236,8 +237,8 @@ def test_criterion_7_sweep_trends():
     task12 = TaskSpec(12, 4, 30, 30, 10, 1e6, 1.0)
 
     def sweep(param, grid, eips=EIPS, tasks=(TASK,)):
-        return run_sweep(SweepSpec(param, tuple(grid), eips, tasks, sweep_solver,
-                                   gamma, literal_utilization_cost=True))
+        return run_sweep(SweepSpec(param, tuple(grid), ScenarioConfig(
+            eips, tasks, sweep_solver, gamma, utilization_cost_literal=True)))
 
     checks = []
     rows = sweep("W1", range(450, 901, 50))

@@ -8,6 +8,7 @@ import pytest
 from cefsim.cli import main
 from cefsim.config import (ConfigError, emit_config, parse_config,
                            parse_config_dict)
+from cefsim.evolution import detect_convergence, simulate
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src/cefsim/data/canonical_scenario.json"
 
@@ -72,8 +73,13 @@ def test_all_violations_reported(doc):
 
 def test_unknown_fields_flagged(doc):
     doc["eips"][0]["typo_field"] = 1
-    with pytest.raises(ConfigError, match="unknown field"):
+    # a misspelt top-level section is an error, not silently dropped
+    doc["gama"] = 5
+    doc["intial_profile"] = [[1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0, 0]]
+    with pytest.raises(ConfigError) as exc:
         parse_config_dict(doc)
+    assert exc.value.problems == ["gama: unknown field", "intial_profile: unknown field",
+                                  "eips[0].typo_field: unknown field"]
 
 
 def test_initial_profile_validation(doc):
@@ -151,6 +157,37 @@ def test_cli_sweep_invariant_breach(tmp_path, fast_config, capsys):
     assert "capacity" in capsys.readouterr().err
 
 
+def test_cli_alpha_sweep(tmp_path, fast_config):
+    # the grid sets the order; the metadata keeps the base alpha
+    code = main(["sweep", str(fast_config), "--param", "alpha", "--grid", "0.9:1:0.1",
+                 "--alpha", "0.7", "--out-dir", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert " alpha=0.7 " in lines[0]
+    assert [float(line.split(",")[0]) for line in lines[2:]] == [0.9, 1.0]
+
+
+def test_cli_sweep_starts_from_initial_profile(tmp_path, doc):
+    doc["solver"]["steps"] = 600
+    doc["initial_profile"] = [[0.1, 0.2, 0.3, 0.2, 0.2], [0.05] * 4 + [0.4] + [0.1] * 4]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert main(["sweep", str(p), "--param", "r1", "--grid", "30:30:1",
+                 "--out-dir", str(tmp_path)]) == 0
+    header, row = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    got = {c: None if v == "None" else float(v)
+           for c, v in zip(header.split(","), row.split(","))}
+    # the row is a direct run from the config's start, bit for bit
+    sc = parse_config(p)
+    rep = detect_convergence(simulate(sc.game(), sc.initial_mixed_profile(),
+                                      sc.solver, sc.gamma))
+    assert got == {"r1": 30.0, "x1_last": rep.equilibrium.blocks[0][-1],
+                   "x2_last": rep.equilibrium.blocks[1][-1],
+                   "u1": rep.utilities[0], "u2": rep.utilities[1],
+                   "t_adjacency": rep.t_adjacency, "t_neighborhood": rep.t_neighborhood,
+                   "residual": rep.residual}
+
+
 def test_cli_field(tmp_path, fast_config):
     out = tmp_path / "f"
     code = main(["field", str(fast_config), "--grid-spec", "0.3:0.5:0.2",
@@ -202,6 +239,12 @@ def test_cli_sweep_precheck_names_grid_value(tmp_path, fast_config, capsys):
     err = capsys.readouterr().err
     assert "W1=300" in err and "capacity" in err
     assert "W1=400" not in err
+    # integer parameters take integral grid values only; none is truncated
+    code = main(["sweep", str(fast_config), "--param", "n",
+                 "--grid", "4.5:6:1", "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "n=4.5: n must be an integer" in err and "n=5.5" in err
 
 
 @pytest.mark.parametrize("section,field,value", [

@@ -1,25 +1,24 @@
 import dataclasses
 import threading
 
-import numpy as np
 import pytest
 
 from cefsim import experiments
+from cefsim.config import ConfigError, ScenarioConfig
 from cefsim.evolution import detect_convergence, simulate
-from cefsim.experiments import (SweepSpec, convergence_study, kernel_study,
-                                run_sweep)
+from cefsim.experiments import SweepSpec, kernel_study, run_sweep
 from cefsim.fractional import SolverConfig
-from cefsim.game import EipConfig, FederationGame, MixedStrategyProfile, TaskSpec
+from cefsim.game import EipConfig, TaskSpec
 
 EIPS = (EipConfig(1, 100, 4, 1800, 1.0, 1e-5, 500),
         EipConfig(2, 120, 8, 2800, 1.0, 1e-5, 1100))
 TASKS = (TaskSpec(6, 4, 30, 30, 10, 1e6, 1.0),)
 FAST = SolverConfig(alpha=1.0, horizon=1.0, steps=1500)
+BASE = ScenarioConfig(EIPS, TASKS, FAST, 0.42, utilization_cost_literal=True)
 
 
-def _spec(param, grid, **kw):
-    return SweepSpec(parameter=param, grid=tuple(grid), eips=EIPS, tasks=TASKS,
-                     solver=FAST, gamma=0.42, literal_utilization_cost=True, **kw)
+def _spec(param, grid, base=BASE):
+    return SweepSpec(param, tuple(grid), base)
 
 
 def test_spec_validation():
@@ -29,17 +28,24 @@ def test_spec_validation():
         _spec("r1", ())
     with pytest.raises(ValueError, match="monotone"):
         _spec("r1", (10, 30, 20))
+    # every grid value that breaks a scenario invariant is named up front
+    with pytest.raises(ConfigError) as exc:
+        _spec("n", (4.5, 5, 6.0))
+    assert [p.split(":")[0] for p in exc.value.problems] == ["n=4.5", "n=6.0"]
+    with pytest.raises(ConfigError, match=r"alpha=2.5: alpha must be in \(0, 2\)"):
+        _spec("alpha", (0.5, 2.5))
 
 
 def test_scenario_substitution():
     spec = _spec("W1", (600, 700))
-    eips, tasks = spec.scenario_at(700)
-    assert eips[0].capacity == 700
-    assert eips[1] == EIPS[1]
-    assert tasks == TASKS
-    spec = _spec("k", (3, 4))
-    _, tasks = spec.scenario_at(3)
-    assert tasks[0].k == 3
+    sc = spec.scenario_at(700)
+    assert sc.eips[0].capacity == 700
+    assert sc.eips[1] == EIPS[1]
+    assert dataclasses.replace(sc, eips=EIPS) == BASE
+    assert _spec("k", (3, 4)).scenario_at(3).tasks[0].k == 3
+    sc = _spec("alpha", (0.6, 0.8)).scenario_at(0.6)
+    assert sc.solver == dataclasses.replace(FAST, alpha=0.6)
+    assert dataclasses.replace(sc, solver=FAST) == BASE
 
 
 def test_sweep_rows_in_grid_order(monkeypatch):
@@ -67,8 +73,8 @@ def test_sweep_rows_run_on_calling_thread(monkeypatch):
         return row(spec, value)
     monkeypatch.setattr(experiments, "_sweep_row", recording_row)
     monkeypatch.setenv("CEF_THREADS", "3")
-    spec = dataclasses.replace(_spec("r1", (20, 30, 40)),
-                               solver=dataclasses.replace(FAST, steps=100))
+    spec = _spec("r1", (20, 30, 40),
+                 dataclasses.replace(BASE, solver=dataclasses.replace(FAST, steps=100)))
     rows = run_sweep(spec)
     assert [r["r1"] for r in rows] == [20, 30, 40]
     assert seen == [(v, threading.get_ident()) for v in (20, 30, 40)]
@@ -86,16 +92,20 @@ def test_sweep_rows_near_equilibrium(monkeypatch):
         assert row["residual"] <= 10 * 1e-4 / FAST.h
 
 
-def test_convergence_study_sorted_and_matches_direct_run():
-    rows = convergence_study([1.0, 0.8], EIPS, TASKS, FAST, 0.42,
-                             literal_utilization_cost=True)
-    assert [r["alpha"] for r in rows] == [0.8, 1.0]
-    game = FederationGame(EIPS, TASKS, literal_utilization_cost=True)
-    direct = detect_convergence(simulate(game, MixedStrategyProfile.uniform(EIPS),
-                                         FAST, 0.42))
-    row = rows[1]
-    assert row["t_adjacency"] == pytest.approx(direct.t_adjacency, abs=1e-6)
-    assert row["x1_last"] == pytest.approx(direct.equilibrium.blocks[0][-1], abs=1e-6)
+def test_alpha_sweep_matches_direct_runs():
+    # the alpha sweep replaces the old convergence study; each row is a
+    # plain simulate run of the base scenario at that order, bit for bit
+    grid = (1.0, 0.8)
+    rows = run_sweep(_spec("alpha", grid))
+    assert [r["alpha"] for r in rows] == list(grid)
+    for row, a in zip(rows, grid):
+        rep = detect_convergence(simulate(BASE.game(), BASE.initial_mixed_profile(),
+                                          dataclasses.replace(FAST, alpha=a), 0.42))
+        assert row == {"alpha": a, "x1_last": rep.equilibrium.blocks[0][-1],
+                       "x2_last": rep.equilibrium.blocks[1][-1],
+                       "u1": rep.utilities[0], "u2": rep.utilities[1],
+                       "t_adjacency": rep.t_adjacency,
+                       "t_neighborhood": rep.t_neighborhood, "residual": rep.residual}
 
 
 def test_kernel_study_table():
