@@ -33,7 +33,6 @@ from .evolution import (
     stability_probe,
     stability_weight,
     estimate_lipschitz,
-    project_simplex,
     calibrate_gamma,
 )
 from .experiments import SweepSpec, run_sweep, kernel_study
@@ -47,7 +46,7 @@ __all__ = [
     "solve_fde_ivp",
     "Trajectory", "EquilibriumReport", "simulate", "detect_convergence",
     "direction_field", "stability_probe", "stability_weight",
-    "estimate_lipschitz", "project_simplex", "calibrate_gamma",
+    "estimate_lipschitz", "calibrate_gamma",
     "SweepSpec", "run_sweep", "kernel_study",
     "ScenarioConfig", "ConfigError", "parse_config", "emit_config",
 ]

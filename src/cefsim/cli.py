@@ -31,8 +31,15 @@ EXIT_UNCONVERGED = 3
 
 def _fmt(v) -> str:
     if v is None:
-        return ""
+        return "None"
     return format(float(v), ".17g")
+
+
+def _write_csv(path: Path, comment: str, cols, rows) -> None:
+    """A comment line, a header, then one line of `_fmt` values per row."""
+    lines = [comment, ",".join(cols)]
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _metadata(config: ScenarioConfig, alpha: float) -> dict:
@@ -61,6 +68,8 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise ValueError(f"grid must be lo:hi:step, got {text!r}")
+    if not np.isfinite((lo, hi, step)).all():
+        raise ValueError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise ValueError(f"grid must be increasing with positive step, got {text!r}")
     out, v = [], lo
@@ -82,10 +91,8 @@ def cmd_simulate(args) -> int:
 
     header = ["t"] + [f"x_{i + 1}_{j}" for i, e in enumerate(config.eips)
                       for j in range(e.num_strategies)]
-    lines = [_meta_comment(meta), ",".join(header)]
-    for t, state in zip(traj.times, traj.states):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in state]))
-    (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "trajectory.csv", _meta_comment(meta), header,
+               ([t, *state] for t, state in zip(traj.times, traj.states)))
 
     doc = {
         "equilibrium": [[float(v) for v in b] for b in report.equilibrium.blocks],
@@ -117,12 +124,8 @@ def cmd_sweep(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     meta = _metadata(config, spec.base.solver.alpha)
-    cols = list(rows[0].keys())
-    lines = [_meta_comment(meta), ",".join(cols)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) if isinstance(row[c], (int, float))
-                              else str(row[c]) for c in cols))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "sweep.csv", _meta_comment(meta), rows[0].keys(),
+               (row.values() for row in rows))
     svgplot.line_plot(out / "sweep.svg", [float(r[args.param]) for r in rows],
                       {c: [float(r[c]) for r in rows]
                        for c in ("x1_last", "x2_last")},
@@ -181,10 +184,8 @@ def cmd_kernel(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cols = list(rows[0].keys())
-    lines = ["# " + f"version={__version__}", ",".join(cols)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in cols))
-    (out / "kernel.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "kernel.csv", f"# version={__version__}", cols,
+               (row.values() for row in rows))
     svgplot.line_plot(out / "kernel.svg", deltas,
                       {c: [float(r[c]) for r in rows] for c in cols[1:]},
                       title="memory weight vs time gap", xlabel="delta",

@@ -19,6 +19,8 @@ from .game import FederationGame, MixedStrategyProfile
 
 ADJACENCY_THRESHOLD = 1e-4
 NEIGHBORHOOD_THRESHOLD = 0.01
+# calibrate_gamma accepts a run whose payoff gap, residual / gamma, is at most this
+GAMMA_RESIDUAL_CUTOFF = 0.05
 
 
 def project_simplex_flat(raw: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
@@ -40,10 +42,6 @@ def project_simplex_flat(raw: np.ndarray, block_sizes: Sequence[int]) -> np.ndar
         block /= total
         pos += s
     return out
-
-
-def project_simplex(raw: np.ndarray, block_sizes: Sequence[int]) -> MixedStrategyProfile:
-    return MixedStrategyProfile.from_flat(block_sizes, project_simplex_flat(raw, block_sizes))
 
 
 @dataclass
@@ -77,10 +75,6 @@ class EquilibriumReport:
     utilities: tuple[float, ...]
     residual: float
 
-    @property
-    def converged(self) -> bool:
-        return self.t_adjacency is not None
-
 
 def simulate(game: FederationGame, x_init: MixedStrategyProfile,
              solver: SolverConfig, gamma: float) -> Trajectory:
@@ -110,24 +104,23 @@ def simulate(game: FederationGame, x_init: MixedStrategyProfile,
                       game=game, gamma=gamma, solver=solver)
 
 
-def detect_convergence(traj: Trajectory,
-                       adjacency_thresh: float = ADJACENCY_THRESHOLD,
-                       neighborhood_thresh: float = NEIGHBORHOOD_THRESHOLD) -> EquilibriumReport:
+def detect_convergence(traj: Trajectory) -> EquilibriumReport:
     """Classify convergence of a trajectory by backward scan.
 
     t_adjacency is the earliest time after which the per-step change stays
-    below the threshold for the remainder of the run; t_neighborhood the
-    earliest time after which the state stays within the threshold of the
-    terminal profile.  The terminal sample is excluded from the
-    neighborhood scan (it matches itself trivially).  Either time is
-    absent when the condition first holds only at the very end.
+    below ADJACENCY_THRESHOLD for the remainder of the run; t_neighborhood
+    the earliest time after which the state stays within
+    NEIGHBORHOOD_THRESHOLD of the terminal profile.  The terminal sample
+    is excluded from the neighborhood scan (it matches itself trivially).
+    Either time is absent when the condition first holds only at the very
+    end.
     """
     n_steps = len(traj.times) - 1
     if n_steps < 2:
         raise ValueError("need a trajectory with at least 2 steps")
     x_star = traj.terminal
 
-    viol = np.nonzero(traj.step_changes[1:] >= adjacency_thresh)[0]
+    viol = np.nonzero(traj.step_changes[1:] >= ADJACENCY_THRESHOLD)[0]
     if viol.size == 0:
         t_adj = 0.0
     else:
@@ -135,7 +128,7 @@ def detect_convergence(traj: Trajectory,
         t_adj = float(traj.times[last]) if last < n_steps else None
 
     dev = np.max(np.abs(traj.states[:-1] - traj.states[-1]), axis=1)
-    viol = np.nonzero(dev >= neighborhood_thresh)[0]
+    viol = np.nonzero(dev >= NEIGHBORHOOD_THRESHOLD)[0]
     if viol.size == 0:
         t_nbr = 0.0
     else:
@@ -282,8 +275,8 @@ def stability_weight(k_hat: float, alpha: float, horizon: float = 1.0) -> float:
 
 
 def calibrate_gamma(game: FederationGame, x_init: MixedStrategyProfile,
-                    solver: SolverConfig, candidates: Sequence[float] = (0.1, 1.0, 10.0, 100.0, 1000.0),
-                    residual_cutoff: float = 0.05) -> float:
+                    solver: SolverConfig,
+                    candidates: Sequence[float] = (0.1, 1.0, 10.0, 100.0, 1000.0)) -> float:
     """Smallest candidate adaptation speed for which the classical (order
     one) run reaches adjacency convergence before the horizon AND ends at
     a genuine rest point (residual guard: a speed so small the dynamics
@@ -295,6 +288,6 @@ def calibrate_gamma(game: FederationGame, x_init: MixedStrategyProfile,
         rep = detect_convergence(traj)
         # the residual scales with gamma; judge the payoff gap itself
         gap = rep.residual / gamma
-        if rep.t_adjacency is not None and gap <= residual_cutoff:
+        if rep.t_adjacency is not None and gap <= GAMMA_RESIDUAL_CUTOFF:
             return gamma
     raise RuntimeError("no candidate adaptation speed achieved convergence")

@@ -7,7 +7,6 @@ in order on the calling thread.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,17 +15,6 @@ from .evolution import detect_convergence, simulate
 from .fractional import MemoryKernel, memory_weight
 
 SWEEPABLE = ("W1", "E1", "r1", "n", "k", "alpha")
-
-
-def _check_thread_env() -> None:
-    """`CEF_THREADS` must be 0 or a positive integer; sweep rows ignore it."""
-    raw = os.environ.get("CEF_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise ValueError(f"CEF_THREADS must be 0 or a positive integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -91,16 +79,14 @@ def _sweep_row(spec: SweepSpec, value) -> dict:
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """One row per grid value, computed in grid order on the calling thread."""
-    _check_thread_env()
     return [_sweep_row(spec, v) for v in spec.grid]
 
 
-def kernel_study(alpha_set: Sequence[float], deltas: Sequence[float],
-                 amplitude: float = 1.0) -> list[dict]:
+def kernel_study(alpha_set: Sequence[float], deltas: Sequence[float]) -> list[dict]:
     """Memory-kernel weight per (alpha, delta); one row per delta with a
     column per order.
     """
-    kernels = {a: MemoryKernel(a, amplitude) for a in alpha_set}
+    kernels = {a: MemoryKernel(a) for a in alpha_set}
     rows = []
     for d in deltas:
         row = {"delta": d}

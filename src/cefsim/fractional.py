@@ -12,7 +12,7 @@ O(N log^2 N) in its history sums rather than O(N^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -35,14 +35,13 @@ class MemoryKernel:
     """Power-law fading memory kernel of a Caputo derivative of order alpha.
 
     For non-integer alpha the weight given to information a time gap
-    `delta` in the past is B * delta^(n-1-alpha) / gamma(n-alpha) with
+    `delta` in the past is delta^(n-1-alpha) / gamma(n-alpha) with
     n = floor(alpha) + 1.  At integer orders the kernel degenerates: the
     Caputo derivative coincides with the ordinary derivative and has no
     fading-memory interpretation.
     """
 
     alpha: float
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.alpha < 2:
@@ -69,7 +68,7 @@ def memory_weight(delta: float, kernel: MemoryKernel) -> float:
             "the derivative is ordinary and carries no memory weight"
         )
     n, a = kernel.n, kernel.alpha
-    return kernel.amplitude * delta ** (n - 1 - a) / gamma(n - a)
+    return delta ** (n - 1 - a) / gamma(n - a)
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +177,6 @@ class FdeSolution:
     times: np.ndarray
     states: np.ndarray                 # shape (steps+1, dim)
     corrector_residuals: np.ndarray    # per step, inf-norm corrector update
-    config: SolverConfig = field(repr=False, default=None)
 
 
 class FdeAbortError(RuntimeError):
@@ -325,4 +323,4 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
         if far is not None and (j + 2) % FAR_BLOCK == 0:
             far.add_block(j + 2)
 
-    return FdeSolution(times=times, states=states, corrector_residuals=resid, config=config)
+    return FdeSolution(times=times, states=states, corrector_residuals=resid)

@@ -154,10 +154,6 @@ class MixedStrategyProfile:
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(b.size for b in self.blocks)
 
-    def cloud_counts(self, i: int, eip: EipConfig) -> np.ndarray:
-        """Estimated number of clouds of provider i playing each strategy."""
-        return eip.num_clouds * self.blocks[i]
-
 
 def _constrained_placements(limits: Sequence[int], total: int):
     """Integer vectors v with 0 <= v_i <= limits_i and sum(v) == total, in
@@ -173,6 +169,16 @@ def _constrained_placements(limits: Sequence[int], total: int):
             yield (c,) + tail
 
 
+def _hypergeometric_pmf(pool: tuple[int, ...], draws: int):
+    """Multivariate hypergeometric distribution of how `draws` items drawn
+    uniformly without replacement from the pooled counts `pool` split
+    across the pools: [(split, probability), ...].
+    """
+    denom = math.comb(sum(pool), draws)
+    return [(combo, math.prod(math.comb(m, c) for m, c in zip(pool, combo)) / denom)
+            for combo in _constrained_placements(pool, draws)]
+
+
 def joint_assignment_pmf(levels: Sequence[int], n: int):
     """Distribution of worker placements when n workers are drawn uniformly
     from the pooled contributions `levels`.
@@ -183,15 +189,9 @@ def joint_assignment_pmf(levels: Sequence[int], n: int):
     levels = tuple(int(x) for x in levels)
     if any(l < 0 for l in levels):
         raise ValueError("contribution levels must be >= 0")
-    total = sum(levels)
-    if total < n:
+    if sum(levels) < n:
         return []
-    denom = math.comb(total, n)
-    out = []
-    for combo in _constrained_placements(levels, n):
-        num = math.prod(math.comb(l, c) for l, c in zip(levels, combo))
-        out.append((combo, num / denom))
-    return out
+    return _hypergeometric_pmf(levels, n)
 
 
 def recovery_pmf(placement: Sequence[int], k: int):
@@ -202,12 +202,7 @@ def recovery_pmf(placement: Sequence[int], k: int):
     total = sum(placement)
     if total < k:
         raise ValueError(f"cannot recover: {total} assigned workers < k={k}")
-    denom = math.comb(total, k)
-    out = []
-    for combo in _constrained_placements(placement, k):
-        num = math.prod(math.comb(p, c) for p, c in zip(placement, combo))
-        out.append((combo, num / denom))
-    return out
+    return _hypergeometric_pmf(placement, k)
 
 
 class FederationGame:

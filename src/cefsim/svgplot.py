@@ -20,18 +20,8 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in values]
 
 
-def line_plot(path, xs: Sequence[float], series: dict[str, Sequence[float]],
-              title: str = "", xlabel: str = "", ylabel: str = "") -> None:
-    """Write a single-panel line plot; one polyline per named series."""
-    xs = list(xs)
-    all_y = [v for ys in series.values() for v in ys]
-    if not xs or not all_y:
-        raise ValueError("nothing to plot")
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(all_y), max(all_y)
-    pad = 0.05 * (y_hi - y_lo or 1.0)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
-
+def _frame(title: str, xlabel: str, ylabel: str) -> list[str]:
+    """Opening tag, background, plot box, title and axis labels."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -47,6 +37,22 @@ def line_plot(path, xs: Sequence[float], series: dict[str, Sequence[float]],
     parts.append(f'<text x="14" y="{HEIGHT / 2}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
                  f'transform="rotate(-90 14 {HEIGHT / 2})">{ylabel}</text>')
+    return parts
+
+
+def line_plot(path, xs: Sequence[float], series: dict[str, Sequence[float]],
+              title: str = "", xlabel: str = "", ylabel: str = "") -> None:
+    """Write a single-panel line plot; one polyline per named series."""
+    xs = list(xs)
+    all_y = [v for ys in series.values() for v in ys]
+    if not xs or not all_y:
+        raise ValueError("nothing to plot")
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(all_y), max(all_y)
+    pad = 0.05 * (y_hi - y_lo or 1.0)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+
+    parts = _frame(title, xlabel, ylabel)
     for tick, value in ((MARGIN, x_lo), (WIDTH - MARGIN, x_hi)):
         parts.append(f'<text x="{tick}" y="{HEIGHT - MARGIN + 16}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="11">{value:.4g}</text>')
@@ -77,21 +83,7 @@ def polyline_plot(path, polylines: Sequence[Sequence[tuple[float, float]]],
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
-        f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="#444"/>',
-    ]
-    if title:
-        parts.append(f'<text x="{WIDTH / 2}" y="{MARGIN - 16}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="15">{title}</text>')
-    parts.append(f'<text x="{WIDTH / 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="12">{xlabel}</text>')
-    parts.append(f'<text x="14" y="{HEIGHT / 2}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="12" '
-                 f'transform="rotate(-90 14 {HEIGHT / 2})">{ylabel}</text>')
+    parts = _frame(title, xlabel, ylabel)
     for idx, line in enumerate(polylines):
         px = _scale([p[0] for p in line], x_lo, x_hi, MARGIN, WIDTH - MARGIN)
         py = _scale([p[1] for p in line], y_lo, y_hi, HEIGHT - MARGIN, MARGIN)

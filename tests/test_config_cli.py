@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cefsim import cli
 from cefsim.cli import main
 from cefsim.config import (ConfigError, emit_config, parse_config,
                            parse_config_dict)
@@ -138,11 +139,9 @@ def test_cli_missing_config_is_usage_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_cli_sweep_and_determinism(tmp_path, fast_config, monkeypatch):
+def test_cli_sweep_and_determinism(tmp_path, fast_config):
     args = ["sweep", str(fast_config), "--param", "r1", "--grid", "10:60:10"]
-    monkeypatch.setenv("CEF_THREADS", "1")
     assert main(args + ["--out-dir", str(tmp_path / "a")]) == 0
-    monkeypatch.setenv("CEF_THREADS", "3")
     assert main(args + ["--out-dir", str(tmp_path / "b")]) == 0
     a = (tmp_path / "a/sweep.csv").read_bytes()
     b = (tmp_path / "b/sweep.csv").read_bytes()
@@ -213,6 +212,26 @@ def test_cli_bad_grid(tmp_path, fast_config, capsys):
     code = main(["sweep", str(fast_config), "--param", "r1",
                  "--grid", "60:10:10", "--out-dir", str(tmp_path)])
     assert code == 1
+
+
+@pytest.mark.parametrize("grid", ["1:inf:1", "-inf:1:1", "0:1:inf", "0:nan:1"])
+@pytest.mark.parametrize("command,flag", [("sweep", "--grid"), ("field", "--grid-spec")])
+def test_cli_non_finite_grid(tmp_path, fast_config, capsys, monkeypatch, command, flag, grid):
+    # an infinite bound or step never ends the grid loop: it must be refused
+    # before the loop, and a regression must fail here rather than fill memory
+    calls = []
+    def bounded_round(v, nd):
+        calls.append(v)
+        assert len(calls) < 1000, "grid loop ran away"
+        return round(v, nd)
+    monkeypatch.setattr(cli, "round", bounded_round, raising=False)
+    extra = ["--param", "r1"] if command == "sweep" else []
+    # `--flag=value`: argparse would read a separate leading "-inf" as an option
+    code = main([command, str(fast_config), *extra, f"{flag}={grid}",
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_cli_simulate_aborts_at_saturation(tmp_path, doc, capsys):

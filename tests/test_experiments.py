@@ -48,31 +48,20 @@ def test_scenario_substitution():
     assert dataclasses.replace(sc, solver=FAST) == BASE
 
 
-def test_sweep_rows_in_grid_order(monkeypatch):
-    monkeypatch.setenv("CEF_THREADS", "1")
+def test_sweep_rows_in_grid_order():
     rows = run_sweep(_spec("r1", (20, 40)))
     assert [r["r1"] for r in rows] == [20, 40]
     assert all(0 <= r["x1_last"] <= 1 for r in rows)
     assert rows[0]["u2"] < rows[1]["u2"]
 
 
-def test_sweep_thread_invariance(monkeypatch):
-    spec = _spec("r1", (20, 30, 40))
-    monkeypatch.setenv("CEF_THREADS", "1")
-    serial = run_sweep(spec)
-    monkeypatch.setenv("CEF_THREADS", "3")
-    threaded = run_sweep(spec)
-    assert serial == threaded
-
-
 def test_sweep_rows_run_on_calling_thread(monkeypatch):
-    # CEF_THREADS is accepted, but every row runs in grid order on the caller
+    # every row runs in grid order on the caller
     seen, row = [], experiments._sweep_row
     def recording_row(spec, value):
         seen.append((value, threading.get_ident()))
         return row(spec, value)
     monkeypatch.setattr(experiments, "_sweep_row", recording_row)
-    monkeypatch.setenv("CEF_THREADS", "3")
     spec = _spec("r1", (20, 30, 40),
                  dataclasses.replace(BASE, solver=dataclasses.replace(FAST, steps=100)))
     rows = run_sweep(spec)
@@ -80,14 +69,12 @@ def test_sweep_rows_run_on_calling_thread(monkeypatch):
     assert seen == [(v, threading.get_ident()) for v in (20, 30, 40)]
 
 
-def test_sweep_deterministic(monkeypatch):
-    monkeypatch.setenv("CEF_THREADS", "0")  # auto
+def test_sweep_deterministic():
     spec = _spec("W1", (500, 600))
     assert run_sweep(spec) == run_sweep(spec)
 
 
-def test_sweep_rows_near_equilibrium(monkeypatch):
-    monkeypatch.setenv("CEF_THREADS", "1")
+def test_sweep_rows_near_equilibrium():
     for row in run_sweep(_spec("r1", (30,))):
         assert row["residual"] <= 10 * 1e-4 / FAST.h
 
@@ -118,9 +105,3 @@ def test_kernel_study_table():
     # superdiffusive curve is much flatter across the grid
     spread = lambda key: max(r[key] for r in rows) - min(r[key] for r in rows)
     assert spread("alpha_1.2") < spread("alpha_0.65")
-
-
-def test_bad_thread_env(monkeypatch):
-    monkeypatch.setenv("CEF_THREADS", "many")
-    with pytest.raises(ValueError, match="CEF_THREADS"):
-        run_sweep(_spec("r1", (30,)))

@@ -66,11 +66,6 @@ def test_kernel_positive_and_fading():
     assert weights == sorted(weights, reverse=True)
 
 
-def test_kernel_amplitude_scaling():
-    assert memory_weight(0.3, MemoryKernel(0.7, amplitude=2.0)) == pytest.approx(
-        2 * memory_weight(0.3, MemoryKernel(0.7)), rel=1e-12)
-
-
 # ---------------------------------------------------- derivative estimate
 
 def test_caputo_of_constant_is_zero():
@@ -198,7 +193,8 @@ def test_truncation_error_shrinks_with_window():
 
 
 def test_abort_on_nonfinite_state():
-    with pytest.raises(FdeAbortError) as exc:
+    # the overflow to inf is the point of the test
+    with pytest.raises(FdeAbortError) as exc, np.errstate(over="ignore", invalid="ignore"):
         solve_fde_ivp(lambda y: y ** 2, [1e200], SolverConfig(alpha=1.0, steps=10))
     assert exc.value.step >= 1
 

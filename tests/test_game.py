@@ -54,17 +54,13 @@ def test_profile_validation(eips):
     assert all(np.array_equal(a, b) for a, b in zip(x.blocks, y.blocks))
 
 
-def test_cloud_count_accessor(eips):
-    x = MixedStrategyProfile.pure(eips, [4, 8])
-    assert x.cloud_counts(0, eips[0])[4] == 100
-    assert x.cloud_counts(1, eips[1])[8] == 120
-
-
 # ------------------------------------------------------------ assignment
 
 def test_assignment_trivial_cases():
     assert joint_assignment_pmf((2, 0), 2) == [((2, 0), 1.0)]
     assert joint_assignment_pmf((4, 8), 13) == []
+    with pytest.raises(ValueError, match=">= 0"):
+        joint_assignment_pmf((3, -1), 2)
 
 
 def test_assignment_marginal_oracle():
@@ -75,15 +71,20 @@ def test_assignment_marginal_oracle():
 
 
 def test_assignment_matches_labeled_enumeration():
-    levels, n = (3, 4), 5
-    counts = {}
-    owners = [0] * levels[0] + [1] * levels[1]
-    for subset in itertools.combinations(range(sum(levels)), n):
-        key = (sum(owners[w] == 0 for w in subset), sum(owners[w] == 1 for w in subset))
-        counts[key] = counts.get(key, 0) + 1
-    total = math.comb(sum(levels), n)
-    for combo, p in joint_assignment_pmf(levels, n):
-        assert p == pytest.approx(counts[combo] / total, abs=1e-15)
+    # both pmfs split n labelled draws from the pools `levels`
+    cases = itertools.product((joint_assignment_pmf, recovery_pmf),
+                              (((3, 4), 5), ((2, 3, 4), 5)))
+    for pmf, (levels, n) in cases:
+        counts = {}
+        owners = [i for i, l in enumerate(levels) for _ in range(l)]
+        for subset in itertools.combinations(range(sum(levels)), n):
+            key = tuple(sum(owners[w] == i for w in subset) for i in range(len(levels)))
+            counts[key] = counts.get(key, 0) + 1
+        total = math.comb(sum(levels), n)
+        got = pmf(levels, n)
+        assert {combo for combo, _ in got} == set(counts), pmf.__name__
+        for combo, p in got:
+            assert p == pytest.approx(counts[combo] / total, abs=1e-15)
 
 
 def test_recovery_oracles():
