@@ -14,11 +14,9 @@ from .game import (
     recovery_pmf,
 )
 from .fractional import (
-    MemoryKernel,
     SolverConfig,
     FdeSolution,
     FdeAbortError,
-    gamma,
     memory_weight,
     caputo_derivative_estimate,
     mittag_leffler,
@@ -33,7 +31,6 @@ from .evolution import (
     stability_probe,
     stability_weight,
     estimate_lipschitz,
-    calibrate_gamma,
 )
 from .experiments import SweepSpec, run_sweep, kernel_study
 from .config import ScenarioConfig, ConfigError, parse_config, emit_config
@@ -41,12 +38,12 @@ from .config import ScenarioConfig, ConfigError, parse_config, emit_config
 __all__ = [
     "EipConfig", "TaskSpec", "MixedStrategyProfile", "FederationGame",
     "joint_assignment_pmf", "recovery_pmf",
-    "MemoryKernel", "SolverConfig", "FdeSolution", "FdeAbortError",
-    "gamma", "memory_weight", "caputo_derivative_estimate", "mittag_leffler",
+    "SolverConfig", "FdeSolution", "FdeAbortError",
+    "memory_weight", "caputo_derivative_estimate", "mittag_leffler",
     "solve_fde_ivp",
     "Trajectory", "EquilibriumReport", "simulate", "detect_convergence",
     "direction_field", "stability_probe", "stability_weight",
-    "estimate_lipschitz", "calibrate_gamma",
+    "estimate_lipschitz",
     "SweepSpec", "run_sweep", "kernel_study",
     "ScenarioConfig", "ConfigError", "parse_config", "emit_config",
 ]

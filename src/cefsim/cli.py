@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +29,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NUMERICAL = 2
 EXIT_UNCONVERGED = 3
+
+# the largest grid in use, the kernel default, has 500 values
+MAX_GRID_VALUES = 100_000
 
 
 def _fmt(v) -> str:
@@ -72,11 +77,16 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise ValueError(f"grid must be increasing with positive step, got {text!r}")
-    out, v = [], lo
-    while v <= hi + 1e-9 * step:
-        out.append(round(v, 12))
-        v += step
-    return out
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_GRID_VALUES:  # also when the quotient overflows to inf
+        raise ValueError(f"grid must have at most {MAX_GRID_VALUES} values, got {text!r}")
+    return [round(lo + k * step, 12) for k in range(math.floor(span) + 1)]
+
+
+def _last_columns(config: ScenarioConfig) -> list[int]:
+    """Flat-state column of each provider's last strategy (its largest
+    contribution)."""
+    return [c - 1 for c in itertools.accumulate(e.num_strategies for e in config.eips)]
 
 
 def cmd_simulate(args) -> int:
@@ -104,10 +114,8 @@ def cmd_simulate(args) -> int:
     }
     (out / "report.json").write_text(json.dumps(doc, indent=2) + "\n")
 
-    series = {}
-    for i, e in enumerate(config.eips):
-        block = traj.states[:, sum(x.num_strategies for x in config.eips[:i]):][:, :e.num_strategies]
-        series[f"x_{i + 1}_{e.max_workers}"] = block[:, -1].tolist()
+    series = {f"x_{i + 1}_{e.max_workers}": traj.states[:, col].tolist()
+              for i, (e, col) in enumerate(zip(config.eips, _last_columns(config)))}
     svgplot.line_plot(out / "trajectory.svg", traj.times.tolist(), series,
                       title=f"last-strategy shares, alpha={solver.alpha}",
                       xlabel="t", ylabel="share")
@@ -138,7 +146,6 @@ def _field_grid(config: ScenarioConfig, values) -> list[MixedStrategyProfile]:
     """Initial profiles with each provider's last-strategy mass set to a
     grid value and the remainder spread uniformly over the other levels.
     """
-    import itertools
     profiles = []
     for combo in itertools.product(values, repeat=len(config.eips)):
         blocks = []
@@ -166,9 +173,10 @@ def cmd_field(args) -> int:
            "polylines": [[[float(v) for v in state] for state in line]
                          for line in polylines]}
     (out / "field.json").write_text(json.dumps(doc, indent=2) + "\n")
-    # project onto the two last-strategy coordinates for the quick-look
-    idx1 = config.eips[0].num_strategies - 1
-    idx2 = sum(e.num_strategies for e in config.eips) - 1
+    # project onto the first two providers' last-strategy shares for the
+    # quick-look; a lone provider is plotted against itself
+    last = _last_columns(config)
+    idx1, idx2 = last[0], last[min(1, len(last) - 1)]
     svgplot.polyline_plot(out / "field.svg",
                           [[(state[idx1], state[idx2]) for state in line]
                            for line in polylines],

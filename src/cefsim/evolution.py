@@ -9,18 +9,16 @@ replicator field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fractional import FdeSolution, SolverConfig, solve_fde_ivp
+from .fractional import SolverConfig, solve_fde_ivp
 from .game import FederationGame, MixedStrategyProfile
 
 ADJACENCY_THRESHOLD = 1e-4
 NEIGHBORHOOD_THRESHOLD = 0.01
-# calibrate_gamma accepts a run whose payoff gap, residual / gamma, is at most this
-GAMMA_RESIDUAL_CUTOFF = 0.05
 
 
 def project_simplex_flat(raw: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
@@ -55,14 +53,10 @@ class Trajectory:
     projection_magnitudes: np.ndarray   # inf-norm of the per-step simplex correction
     game: FederationGame
     gamma: float
-    solver: SolverConfig
-
-    def profile(self, j: int) -> MixedStrategyProfile:
-        return MixedStrategyProfile.from_flat(self.block_sizes, self.states[j])
 
     @property
     def terminal(self) -> MixedStrategyProfile:
-        return self.profile(len(self.times) - 1)
+        return MixedStrategyProfile.from_flat(self.block_sizes, self.states[-1])
 
 
 @dataclass
@@ -84,6 +78,8 @@ def simulate(game: FederationGame, x_init: MixedStrategyProfile,
     of simplices; the quadrature keeps the dynamics near-tangent, so the
     logged correction magnitudes should stay tiny.
     """
+    if not gamma > 0:
+        raise ValueError("adaptation speed gamma must be > 0")
     sizes = tuple(e.num_strategies for e in game.eips)
     proj_mags = [0.0]
     correction = np.empty(sum(sizes))
@@ -101,7 +97,7 @@ def simulate(game: FederationGame, x_init: MixedStrategyProfile,
     return Trajectory(times=sol.times, states=sol.states, block_sizes=sizes,
                       step_changes=changes,
                       projection_magnitudes=np.asarray(proj_mags),
-                      game=game, gamma=gamma, solver=solver)
+                      game=game, gamma=gamma)
 
 
 def detect_convergence(traj: Trajectory) -> EquilibriumReport:
@@ -195,13 +191,11 @@ class StabilityProbe:
     initial_distance: float
     weighted_sup: float
     passed: bool
-    reconverged: bool   # terminal state back within 0.01 of x_star
 
 
 @dataclass
 class StabilityReport:
-    n_weight: float
-    probes: list[StabilityProbe] = field(default_factory=list)
+    probes: list[StabilityProbe]
 
     @property
     def all_passed(self) -> bool:
@@ -250,7 +244,7 @@ def stability_probe(game: FederationGame, x_star: MixedStrategyProfile, delta: f
     base = simulate(game, x_star, solver, gamma)
     if starts is None:
         starts = _perturbed_starts(x_star, delta)
-    report = StabilityReport(n_weight=n_weight)
+    probes = []
     for y0 in starts:
         d0 = float(np.sum(np.abs(x_star.flat - y0.flat)))
         traj = simulate(game, y0, solver, gamma)
@@ -258,10 +252,8 @@ def stability_probe(game: FederationGame, x_star: MixedStrategyProfile, delta: f
         weighted = np.exp(-n_weight * traj.times[1:]) * dist[1:]
         sup = float(np.max(weighted)) if d0 > 0 else 0.0
         passed = (d0 == 0.0) or (sup < d0)
-        recon = float(np.max(np.abs(traj.states[-1] - x_star.flat))) < NEIGHBORHOOD_THRESHOLD
-        report.probes.append(StabilityProbe(initial_distance=d0, weighted_sup=sup,
-                                            passed=passed, reconverged=recon))
-    return report
+        probes.append(StabilityProbe(initial_distance=d0, weighted_sup=sup, passed=passed))
+    return StabilityReport(probes)
 
 
 def stability_weight(k_hat: float, alpha: float, horizon: float = 1.0) -> float:
@@ -272,22 +264,3 @@ def stability_weight(k_hat: float, alpha: float, horizon: float = 1.0) -> float:
     if k_hat < 0 or horizon <= 0 or not 0 < alpha < 2:
         raise ValueError("invalid stability-weight inputs")
     return (1.0 + horizon * k_hat) ** (1.0 / alpha)
-
-
-def calibrate_gamma(game: FederationGame, x_init: MixedStrategyProfile,
-                    solver: SolverConfig,
-                    candidates: Sequence[float] = (0.1, 1.0, 10.0, 100.0, 1000.0)) -> float:
-    """Smallest candidate adaptation speed for which the classical (order
-    one) run reaches adjacency convergence before the horizon AND ends at
-    a genuine rest point (residual guard: a speed so small the dynamics
-    barely move would satisfy the adjacency test vacuously).
-    """
-    classical = replace(solver, alpha=1.0)
-    for gamma in candidates:
-        traj = simulate(game, x_init, classical, gamma)
-        rep = detect_convergence(traj)
-        # the residual scales with gamma; judge the payoff gap itself
-        gap = rep.residual / gamma
-        if rep.t_adjacency is not None and gap <= GAMMA_RESIDUAL_CUTOFF:
-            return gamma
-    raise RuntimeError("no candidate adaptation speed achieved convergence")

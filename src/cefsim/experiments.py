@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .config import ConfigError, ScenarioConfig
 from .evolution import detect_convergence, simulate
-from .fractional import MemoryKernel, memory_weight
+from .fractional import memory_weight
 
 SWEEPABLE = ("W1", "E1", "r1", "n", "k", "alpha")
 
@@ -86,11 +86,10 @@ def kernel_study(alpha_set: Sequence[float], deltas: Sequence[float]) -> list[di
     """Memory-kernel weight per (alpha, delta); one row per delta with a
     column per order.
     """
-    kernels = {a: MemoryKernel(a) for a in alpha_set}
     rows = []
     for d in deltas:
         row = {"delta": d}
         for a in sorted(alpha_set):
-            row[f"alpha_{a}"] = memory_weight(d, kernels[a])
+            row[f"alpha_{a}"] = memory_weight(d, a)
         rows.append(row)
     return rows

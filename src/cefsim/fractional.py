@@ -1,12 +1,13 @@
 """Numerical Caputo fractional calculus.
 
-Provides the power-law memory kernel, an L1-type Caputo derivative
+Provides the power-law memory weight, an L1-type Caputo derivative
 estimator, the Mittag-Leffler function (used as a solver oracle), and an
 Adams-Bashforth-Moulton predictor-corrector for systems of Caputo
-fractional differential equations of order 0 < alpha < 2.  The solver
-sums the recent history directly and, with full memory, the older
-history by FFT convolution over dyadic blocks, so an N-step run costs
-O(N log^2 N) in its history sums rather than O(N^2).
+fractional differential equations of order 0 < alpha < 2 (started at
+rest, x'(0) = 0, when alpha > 1).  The solver sums the recent history
+directly and, with full memory, the older history by FFT convolution
+over dyadic blocks, so an N-step run costs O(N log^2 N) in its history
+sums rather than O(N^2).
 """
 
 from __future__ import annotations
@@ -20,55 +21,29 @@ import numpy as np
 from ._fields import type_errors
 
 
-def gamma(x: float) -> float:
-    """Euler gamma function on the positive reals."""
-    if not x > 0:
-        raise ValueError(f"gamma requires x > 0, got {x}")
-    return math.gamma(x)
-
-
 # ----------------------------------------------------------------------
-# memory kernel
+# memory weight
 
-@dataclass(frozen=True)
-class MemoryKernel:
-    """Power-law fading memory kernel of a Caputo derivative of order alpha.
+def memory_weight(delta: float, alpha: float) -> float:
+    """Power-law fading memory weight of a Caputo derivative of order alpha.
 
     For non-integer alpha the weight given to information a time gap
-    `delta` in the past is delta^(n-1-alpha) / gamma(n-alpha) with
+    delta > 0 in the past is delta^(n-1-alpha) / gamma(n-alpha) with
     n = floor(alpha) + 1.  At integer orders the kernel degenerates: the
     Caputo derivative coincides with the ordinary derivative and has no
     fading-memory interpretation.
     """
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 0 < self.alpha < 2:
-            raise ValueError(f"alpha must be in (0, 2), got {self.alpha}")
-
-    @property
-    def degenerate(self) -> bool:
-        return float(self.alpha).is_integer()
-
-    @property
-    def n(self) -> int:
-        if self.degenerate:
-            return int(self.alpha)
-        return math.floor(self.alpha) + 1
-
-
-def memory_weight(delta: float, kernel: MemoryKernel) -> float:
-    """Kernel weight at time gap delta > 0."""
+    if not 0 < alpha < 2:
+        raise ValueError(f"alpha must be in (0, 2), got {alpha}")
     if delta <= 0:
         raise ValueError("memory weight requires delta > 0 (kernel singular at 0)")
-    if kernel.degenerate:
+    if float(alpha).is_integer():
         raise ValueError(
-            f"kernel degenerate at integer order alpha={kernel.alpha}: "
+            f"kernel degenerate at integer order alpha={alpha}: "
             "the derivative is ordinary and carries no memory weight"
         )
-    n, a = kernel.n, kernel.alpha
-    return delta ** (n - 1 - a) / gamma(n - a)
+    n = math.floor(alpha) + 1
+    return delta ** (n - 1 - alpha) / math.gamma(n - alpha)
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +74,7 @@ def caputo_derivative_estimate(samples: Sequence[float], alpha: float, h: float)
     conv = np.convolve(np.diff(y), w)[:steps]
     out = np.empty(y.size)
     out[0] = 0.0
-    out[1:] = conv * h ** (-alpha) / gamma(2 - alpha)
+    out[1:] = conv * h ** (-alpha) / math.gamma(2 - alpha)
     return out
 
 
@@ -136,7 +111,6 @@ class SolverConfig:
     steps: int = 10_000
     corrector_iterations: int = 1
     memory_truncation: Optional[int] = None  # window length in steps; None = full
-    initial_derivative: Optional[np.ndarray] = None  # for 1 < alpha < 2
 
     def __post_init__(self):
         problems = self.validation_errors(vars(self))
@@ -245,7 +219,8 @@ class _FarHistory:
 
 def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverConfig,
                   postprocess: Callable[[np.ndarray], np.ndarray] | None = None) -> FdeSolution:
-    """Integrate D^alpha x = rhs(x), x(0) = x0, on [0, horizon].
+    """Integrate D^alpha x = rhs(x), x(0) = x0, on [0, horizon]; for
+    1 < alpha < 2 the run starts at rest, x'(0) = 0.
 
     Fractional Adams-Bashforth-Moulton predictor-corrector on the
     equivalent Volterra integral form.  The history sums at step j split
@@ -261,18 +236,14 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
     a = config.alpha
     N = config.steps
     h = config.h
-    n_order = 1 if a <= 1 else 2
-    if n_order == 2:
-        dx0 = config.initial_derivative
-        dx0 = np.zeros_like(x0) if dx0 is None else np.atleast_1d(np.asarray(dx0, dtype=float))
     times = np.linspace(0.0, config.horizon, N + 1)
 
     # quadrature weights indexed by step distance d = j - m
     d = np.arange(N + 1, dtype=float)
     b = (d + 1) ** a - d ** a                                   # predictor
     ac = (d + 2) ** (a + 1) + d ** (a + 1) - 2 * (d + 1) ** (a + 1)  # corrector, interior
-    c_pred = h ** a / gamma(a + 1)
-    c_corr = h ** a / gamma(a + 2)
+    c_pred = h ** a / math.gamma(a + 1)
+    c_corr = h ** a / math.gamma(a + 2)
     # reversed views: b_rev[N + 1 - m:] is b[:m][::-1], the same strided view
     b_rev, ac_rev = b[::-1], ac[::-1]
 
@@ -288,8 +259,6 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
     far = _FarHistory(b, ac, fhist, N) if window is None or window >= N else None
 
     for j in range(N):
-        # free part of the Volterra equation at t_{j+1}
-        free = x0 if n_order == 1 else x0 + times[j + 1] * dx0
         lo = max(0, j + 1 - window) if far is None else j - j % FAR_BLOCK
 
         # predictor: fractional rectangle rule over the near history
@@ -306,12 +275,13 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
         if far is not None and lo:
             hp += far.pred[j]
             hist += far.corr[j] + _left_weight(j, a) * fhist[0]
-        xp = free + c_pred * hp
+        # x0 is the free part of the Volterra equation at every t_{j+1}
+        xp = x0 + c_pred * hp
 
         xc = xp
         for _ in range(config.corrector_iterations):
             fc = rhs(xc)
-            xnew = free + c_corr * (hist + fc)
+            xnew = x0 + c_corr * (hist + fc)
             resid[j + 1] = np.abs(np.subtract(xnew, xc, out=update), out=update).max()
             xc = xnew
         if not np.isfinite(xc).all():

@@ -215,7 +215,8 @@ class FederationGame:
 
     The payoff tables and the per-provider contraction plan over them are
     built once, on the first payoff or field evaluation.  `rhs_flat` is
-    the one replicator field; the profile-level methods wrap it.
+    the one replicator field; `payoff_vector` and `average_payoff`
+    evaluate the same plan on a profile.
     """
 
     def __init__(self, eips: Sequence[EipConfig], tasks: Sequence[TaskSpec],
@@ -240,15 +241,12 @@ class FederationGame:
     # ------------------------------------------------------------------
     # utilization and its cost
 
-    def mean_contribution(self, i: int, x: MixedStrategyProfile) -> float:
-        return float(self._js[i].dot(x.blocks[i]))
-
     def _utilization(self, i: int, s: float) -> float:
         e = self.eips[i]
         return e.num_clouds * s / e.capacity
 
     def utilization(self, i: int, x: MixedStrategyProfile) -> float:
-        return self._utilization(i, self.mean_contribution(i, x))
+        return self._utilization(i, float(self._js[i].dot(x.blocks[i])))
 
     def _amortized_cost(self, i: int, w: float) -> float:
         # the pole of 1/(1 - w): utilization 1 at the all-max share when
@@ -275,13 +273,10 @@ class FederationGame:
             cost /= self.eips[i].num_clouds
         return cost
 
-    def utilization_cost_vector(self, i: int, x: MixedStrategyProfile) -> np.ndarray:
-        """Per-strategy utilization cost for provider i at profile x."""
-        cost = self._utilization_cost(i, x.blocks[i])
-        return np.zeros(self.eips[i].num_strategies) if cost is None else cost
-
     def utilization_cost(self, i: int, j: int, x: MixedStrategyProfile) -> float:
-        return float(self.utilization_cost_vector(i, x)[j])
+        """Utilization cost of strategy j of provider i at profile x."""
+        cost = self._utilization_cost(i, x.blocks[i])
+        return 0.0 if cost is None else float(cost[j])
 
     # ------------------------------------------------------------------
     # payoffs
@@ -329,16 +324,14 @@ class FederationGame:
         return task.rate / sum(t.rate for t in self.tasks)
 
     def _base_payoffs(self, levels: Sequence[int]) -> list[float]:
+        """Task-weighted expected payoff of every provider at a pure
+        profile, excluding the utilization cost (which depends on the
+        mixed state).
+        """
         weighted = [(self._task_weight(t), self._expected_task_values(levels, t))
                     for t in self.tasks]
         return [sum(w * values[i] for w, values in weighted)
                 for i in range(len(self.eips))]
-
-    def base_payoff(self, i: int, levels: Sequence[int]) -> float:
-        """Task-weighted expected payoff of provider i at a pure profile,
-        excluding the utilization cost (which depends on the mixed state).
-        """
-        return self._base_payoffs(levels)[i]
 
     def _compile(self) -> list[tuple]:
         """Build the payoff tables and, per provider, the plan that
@@ -397,27 +390,16 @@ class FederationGame:
         """
         return self._payoff(i, x.blocks)
 
-    def mixed_payoff(self, i: int, l_i: int, x: MixedStrategyProfile) -> float:
-        return float(self.payoff_vector(i, x)[l_i])
-
     def average_payoff(self, i: int, x: MixedStrategyProfile) -> float:
         return float(x.blocks[i] @ self.payoff_vector(i, x))
 
     # ------------------------------------------------------------------
     # replicator dynamics
 
-    def replicator_rhs(self, x: MixedStrategyProfile, gamma: float) -> np.ndarray:
-        """Growth rate of every strategy share: gamma * x_ij * (u_ij - u_i).
-
-        Returned flat, aligned with `x.flat`.
-        """
-        if gamma <= 0:
-            raise ValueError("adaptation speed gamma must be > 0")
-        return self.rhs_flat(x.flat, gamma)
-
     def rhs_flat(self, flat: np.ndarray, gamma: float) -> np.ndarray:
-        """The replicator field on the flat state vector, without profile
-        validation: the integrators' entry point.
+        """Growth rate of every strategy share, gamma * x_ij * (u_ij - u_i),
+        on the flat state vector (laid out as `MixedStrategyProfile.flat`),
+        without profile validation.
         """
         blocks = [flat[sl] for sl in self._slices]
         out = np.empty_like(flat)

@@ -234,6 +234,71 @@ def test_cli_non_finite_grid(tmp_path, fast_config, capsys, monkeypatch, command
     assert calls == []
 
 
+@pytest.mark.parametrize("grid", ["1e16:2e16:1", "0:1e9:1"])
+@pytest.mark.parametrize("command,flag", [("sweep", "--grid"), ("field", "--grid-spec")])
+def test_cli_oversized_grid(tmp_path, fast_config, capsys, monkeypatch, command, flag, grid):
+    # a step below the float spacing of lo, or 10^9 values: refused before
+    # any value is built, and a regression fails here rather than fill memory
+    calls = []
+    def bounded_round(v, nd):
+        calls.append(v)
+        assert len(calls) < 1000, "grid loop ran away"
+        return round(v, nd)
+    monkeypatch.setattr(cli, "round", bounded_round, raising=False)
+    extra = ["--param", "r1"] if command == "sweep" else []
+    code = main([command, str(fast_config), *extra, f"{flag}={grid}",
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert f"at most {cli.MAX_GRID_VALUES} values" in capsys.readouterr().err
+    assert calls == []
+
+
+def _loop_grid(text):
+    """The accumulating loop that the counted grid replaced."""
+    lo, hi, step = (float(x) for x in text.split(":"))
+    out, v = [], lo
+    while v <= hi + 1e-9 * step:
+        out.append(round(v, 12))
+        v += step
+    return out
+
+
+def test_parse_grid_value_count():
+    # the grids in use keep the values their outputs were written with
+    for grid in ("0.0001:0.05:0.0001", "0.05:1.0:0.05", "0.2:0.6:0.1",
+                 "0.6:1.0:0.1", "10:60:10", "4:16:1", "0.01:0.05:0.01"):
+        assert cli._parse_grid(grid) == _loop_grid(grid), grid
+    assert cli._parse_grid("1e16:1e16:1") == [1e16]
+    assert len(cli._parse_grid(f"1:{cli.MAX_GRID_VALUES}:1")) == cli.MAX_GRID_VALUES
+    with pytest.raises(ValueError, match="at most"):
+        cli._parse_grid(f"0:{cli.MAX_GRID_VALUES}:1")
+
+
+@pytest.mark.parametrize("providers", [1, 3])
+def test_cli_field_plots_last_strategy_shares(tmp_path, doc, monkeypatch, providers):
+    # the quick-look plots provider 1's against provider 2's last-strategy
+    # share (a lone provider against itself), whatever follows provider 2
+    if providers == 1:
+        del doc["eips"][1:]
+    else:
+        doc["eips"].append({"index": 3, "num_clouds": 110, "max_workers": 7,
+                            "fixed_cost": 2100.0, "calibration_ratio": 1.0,
+                            "cpu_cost": 1e-5, "capacity": 1200})
+    doc["solver"]["steps"] = 100
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    plotted = []
+    monkeypatch.setattr(cli.svgplot, "polyline_plot",
+                        lambda path, lines, **kw: plotted.extend(lines))
+    out = tmp_path / "f"
+    assert main(["field", str(cfg), "--grid-spec", "0.3:0.4:0.1", "--stride", "50",
+                 "--out-dir", str(out)]) == 0
+    x_col, y_col = (4, 4) if providers == 1 else (4, 13)
+    lines = json.loads((out / "field.json").read_text())["polylines"]
+    assert len(lines) == 2 ** providers
+    assert plotted == [[(s[x_col], s[y_col]) for s in line] for line in lines]
+
+
 def test_cli_simulate_aborts_at_saturation(tmp_path, doc, capsys):
     # capacity == num_clouds * max_workers: a run that starts at the
     # all-max share has utilization 1 and a non-finite field

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cefsim.evolution import (EquilibriumReport, Trajectory, calibrate_gamma,
-                              detect_convergence, direction_field,
-                              estimate_lipschitz, project_simplex_flat,
-                              simulate, stability_probe, stability_weight)
+from cefsim.evolution import (EquilibriumReport, Trajectory, detect_convergence,
+                              direction_field, estimate_lipschitz,
+                              project_simplex_flat, simulate, stability_probe,
+                              stability_weight)
 from cefsim.fractional import SolverConfig
 from cefsim.game import EipConfig, FederationGame, MixedStrategyProfile, TaskSpec
 
@@ -100,6 +100,12 @@ def test_simplex_preserved_along_trajectory(classical_run):
     assert np.min(classical_run.states) >= 0.0
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0])
+def test_simulate_rejects_nonpositive_gamma(game, uniform, gamma):
+    with pytest.raises(ValueError, match="gamma must be > 0"):
+        simulate(game, uniform, SolverConfig(alpha=0.8, steps=10), gamma)
+
+
 def test_projection_magnitude_tiny_for_nonovershooting_orders(game, uniform):
     for a in (0.8, 1.0):
         traj = simulate(game, uniform, SolverConfig(alpha=a, steps=2000), GAMMA)
@@ -117,7 +123,7 @@ def _synthetic(states, h=0.01):
     game = FederationGame(eips, [TaskSpec(1, 1, 0, 0, 0, 0, 1.0)])
     return Trajectory(times=times, states=states, block_sizes=(2,),
                       step_changes=changes, projection_magnitudes=np.zeros(len(states)),
-                      game=game, gamma=1.0, solver=None)
+                      game=game, gamma=1.0)
 
 
 def _detect_times(states):
@@ -244,12 +250,3 @@ def test_stability_probe_perturbations(game, x_star):
     assert rep.all_passed
     assert all(p.initial_distance <= 0.05 + 1e-12 for p in rep.probes)
 
-
-# ------------------------------------------------------------ calibration
-
-def test_calibrate_gamma_returns_working_speed(game, uniform):
-    cfg = SolverConfig(alpha=1.0, steps=2000)
-    gam = calibrate_gamma(game, uniform, cfg, candidates=(0.1, 1.0, 10.0))
-    assert gam in (0.1, 1.0, 10.0)
-    rep = detect_convergence(simulate(game, uniform, cfg, gam))
-    assert rep.t_adjacency is not None

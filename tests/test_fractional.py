@@ -3,65 +3,52 @@ import math
 import numpy as np
 import pytest
 
-from cefsim.fractional import (FAR_BLOCK, FdeAbortError, MemoryKernel,
-                               SolverConfig, caputo_derivative_estimate, gamma,
-                               memory_weight, mittag_leffler, solve_fde_ivp)
-
-
-# ------------------------------------------------------------------ gamma
-
-def test_gamma_identities():
-    assert gamma(1.0) == pytest.approx(1.0, rel=1e-12)
-    assert gamma(5.0) == pytest.approx(24.0, rel=1e-12)
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-
-
-def test_gamma_domain():
-    for bad in (0.0, -1.0, -0.5):
-        with pytest.raises(ValueError):
-            gamma(bad)
+from cefsim.fractional import (FAR_BLOCK, FdeAbortError, SolverConfig,
+                               caputo_derivative_estimate, memory_weight,
+                               mittag_leffler, solve_fde_ivp)
 
 
 # ----------------------------------------------------------------- kernel
 
 def test_kernel_weight_value():
-    k = MemoryKernel(0.5)
-    assert memory_weight(1.0, k) == pytest.approx(1 / gamma(0.5), rel=1e-12)
+    assert memory_weight(1.0, 0.5) == pytest.approx(1 / math.sqrt(math.pi), rel=1e-12)
 
 
 def test_kernel_degenerate_at_integer_order():
-    k = MemoryKernel(1.0)
-    assert k.degenerate
-    assert k.n == 1
-    with pytest.raises(ValueError, match="degenerate"):
-        memory_weight(0.5, k)
-    assert not MemoryKernel(0.5).degenerate
-    assert MemoryKernel(1.3).n == 2
+    for alpha in (1.0, 1):
+        with pytest.raises(ValueError, match="degenerate"):
+            memory_weight(0.5, alpha)
+    # 1 < alpha < 2: n = 2, weight delta^(1 - alpha) / gamma(2 - alpha)
+    assert memory_weight(0.5, 1.3) == pytest.approx(0.5 ** -0.3 / math.gamma(0.7), rel=1e-12)
 
 
 def test_kernel_rejects_nonpositive_gap():
-    k = MemoryKernel(0.5)
     for bad in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            memory_weight(bad, k)
+        with pytest.raises(ValueError, match="delta > 0"):
+            memory_weight(bad, 0.5)
+
+
+def test_kernel_rejects_order_outside_range_first():
+    for bad in (0.0, 2.0, 2.5, -1.0):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 2\)"):
+            memory_weight(0.0, bad)
 
 
 def test_kernel_recent_past_ordering():
     # subdiffusive orders amplify the recent past; the steeper curve wins
     # once the gap is large enough for the normalization not to dominate
-    assert memory_weight(0.05, MemoryKernel(0.65)) > memory_weight(0.05, MemoryKernel(0.8))
+    assert memory_weight(0.05, 0.65) > memory_weight(0.05, 0.8)
 
 
 def test_kernel_monotone_in_order_within_branches():
     # near the end of the unit gap the weight decreases with the order,
     # separately on each branch
     for lo, hi in ((0.65, 0.8), (0.3, 0.6), (1.2, 1.4), (1.1, 1.7)):
-        assert memory_weight(0.9, MemoryKernel(lo)) > memory_weight(0.9, MemoryKernel(hi))
+        assert memory_weight(0.9, lo) > memory_weight(0.9, hi)
 
 
 def test_kernel_positive_and_fading():
-    k = MemoryKernel(0.8)
-    weights = [memory_weight(d, k) for d in (0.01, 0.1, 1.0, 10.0, 100.0)]
+    weights = [memory_weight(d, 0.8) for d in (0.01, 0.1, 1.0, 10.0, 100.0)]
     assert all(w > 0 for w in weights)
     assert weights == sorted(weights, reverse=True)
 
@@ -78,7 +65,7 @@ def test_caputo_power_rule():
     n = 10_000
     y = np.linspace(0.0, 1.0, n + 1)
     est = caputo_derivative_estimate(y, 0.5, 1.0 / n)
-    assert est[-1] == pytest.approx(1 / gamma(1.5), abs=1e-3)
+    assert est[-1] == pytest.approx(1 / math.gamma(1.5), abs=1e-3)
 
 
 def test_caputo_integer_order_is_gradient():
@@ -163,13 +150,6 @@ def test_convergence_order():
     assert errs[1] / errs[2] >= 1.8
 
 
-def test_initial_derivative_free_term():
-    # zero field: the solution is exactly the free part x0 + t*x'(0)
-    sol = solve_fde_ivp(lambda y: np.zeros_like(y), [1.0],
-                        SolverConfig(alpha=1.5, steps=100, initial_derivative=[2.0]))
-    assert sol.states[-1, 0] == pytest.approx(3.0, abs=1e-12)
-
-
 def test_full_window_truncation_matches_full_memory():
     # a window that covers every step is full memory, far field included
     full = solve_fde_ivp(lambda y: -y, [1.0], SolverConfig(alpha=0.8, steps=200))
@@ -210,23 +190,18 @@ def test_determinism():
 
 def direct_solve(rhs, x0, config, postprocess=None):
     """The O(N^2) direct-sum solver that the near/far split replaced,
-    kept verbatim as the reference for the split quadrature."""
+    kept as the reference for the split quadrature."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     a = config.alpha
     N = config.steps
     h = config.h
-    n_order = 1 if a <= 1 else 2
-    if n_order == 2:
-        dx0 = config.initial_derivative
-        dx0 = np.zeros_like(x0) if dx0 is None else np.atleast_1d(np.asarray(dx0, dtype=float))
-    times = np.linspace(0.0, config.horizon, N + 1)
 
     # quadrature weights indexed by step distance d = j - m
     d = np.arange(N + 1, dtype=float)
     b = (d + 1) ** a - d ** a                                   # predictor
     ac = (d + 2) ** (a + 1) + d ** (a + 1) - 2 * (d + 1) ** (a + 1)  # corrector, interior
-    c_pred = h ** a / gamma(a + 1)
-    c_corr = h ** a / gamma(a + 2)
+    c_pred = h ** a / math.gamma(a + 1)
+    c_corr = h ** a / math.gamma(a + 2)
     # reversed views: b_rev[N + 1 - m:] is b[:m][::-1], the same strided view
     b_rev, ac_rev = b[::-1], ac[::-1]
 
@@ -239,13 +214,11 @@ def direct_solve(rhs, x0, config, postprocess=None):
 
     window = config.memory_truncation
     for j in range(N):
-        # free part of the Volterra equation at t_{j+1}
-        free = x0 if n_order == 1 else x0 + times[j + 1] * dx0
         lo = 0 if window is None else max(0, j + 1 - window)
 
         # predictor: fractional rectangle rule over the retained history
         wp = b_rev[N - j + lo:]
-        xp = free + c_pred * (wp @ fhist[lo:j + 1])
+        xp = x0 + c_pred * (wp @ fhist[lo:j + 1])
 
         # corrector: fractional trapezoid weights; the oldest retained
         # sample carries the exact left-endpoint weight only in the
@@ -261,7 +234,7 @@ def direct_solve(rhs, x0, config, postprocess=None):
         xc = xp
         for _ in range(config.corrector_iterations):
             fc = rhs(xc)
-            xnew = free + c_corr * (hist + fc)
+            xnew = x0 + c_corr * (hist + fc)
             resid[j + 1] = np.abs(np.subtract(xnew, xc, out=update), out=update).max()
             xc = xnew
         if not np.isfinite(xc).all():
@@ -290,13 +263,6 @@ def test_far_field_matches_direct_sums(alpha):
             assert np.array_equal(got, want)
         else:
             assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_far_field_with_initial_derivative():
-    cfg = SolverConfig(alpha=1.4, steps=1500, initial_derivative=[0.5, -1.0])
-    got = solve_fde_ivp(_mixed_field, [1.0, 0.4], cfg).states
-    want = direct_solve(_mixed_field, [1.0, 0.4], cfg)
-    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_mittag_leffler_far_field_matches_direct_sums():

@@ -159,7 +159,7 @@ def test_pure_payoff_infeasible_federation(game, eips):
 
 def test_mixed_payoff_degenerate_opponent(game, eips, task):
     x = MixedStrategyProfile.pure(eips, [4, 8])
-    assert game.mixed_payoff(0, 4, x) == pytest.approx(
+    assert game.payoff_vector(0, x)[4] == pytest.approx(
         game.pure_payoff(0, 4, (4, 8), x, task), abs=1e-9)
 
 
@@ -167,8 +167,8 @@ def test_identical_tasks_weighting(eips, task):
     single = FederationGame(eips, [task])
     double = FederationGame(eips, [task, task])
     x = MixedStrategyProfile.uniform(eips)
-    assert double.mixed_payoff(0, 4, x) == pytest.approx(
-        single.mixed_payoff(0, 4, x), abs=1e-9)
+    assert double.payoff_vector(0, x)[4] == pytest.approx(
+        single.payoff_vector(0, x)[4], abs=1e-9)
 
 
 def test_mixed_payoff_uniform_opponent_enumeration(game, eips, task):
@@ -177,7 +177,7 @@ def test_mixed_payoff_uniform_opponent_enumeration(game, eips, task):
     x = MixedStrategyProfile(blocks)
     expected = sum(game._expected_task_values((4, l2), task)[0] for l2 in range(9)) / 9
     expected -= game.utilization_cost(0, 4, x)
-    assert game.mixed_payoff(0, 4, x) == pytest.approx(expected, abs=1e-9)
+    assert game.payoff_vector(0, x)[4] == pytest.approx(expected, abs=1e-9)
 
 
 def test_average_payoff_is_convex_combination(game, eips):
@@ -188,7 +188,7 @@ def test_average_payoff_is_convex_combination(game, eips):
         assert u.min() - 1e-12 <= avg <= u.max() + 1e-12
     pure = MixedStrategyProfile.pure(eips, [3, 5])
     assert game.average_payoff(0, pure) == pytest.approx(
-        game.mixed_payoff(0, 3, pure), abs=1e-12)
+        game.payoff_vector(0, pure)[3], abs=1e-12)
 
 
 # ------------------------------------------------------------ replicator
@@ -204,41 +204,35 @@ def _random_profiles(eips, count, seed=7):
 
 def test_rhs_zero_at_pure_profile(game, eips):
     x = MixedStrategyProfile.pure(eips, [2, 5])
-    phi = game.replicator_rhs(x, 1.0)
+    phi = game.rhs_flat(x.flat, 1.0)
     assert np.allclose(phi, 0.0, atol=1e-12)
 
 
 def test_rhs_simplex_tangency(game, eips):
     for x in _random_profiles(eips, 100):
-        phi = game.replicator_rhs(x, 1.0)
+        phi = game.rhs_flat(x.flat, 1.0)
         assert abs(phi[:5].sum()) < 1e-10
         assert abs(phi[5:].sum()) < 1e-10
 
 
 def test_rhs_gamma_linearity(game, eips):
     x = MixedStrategyProfile.uniform(eips)
-    assert np.allclose(2 * game.replicator_rhs(x, 1.0),
-                       game.replicator_rhs(x, 2.0), atol=1e-12)
+    assert np.allclose(2 * game.rhs_flat(x.flat, 1.0),
+                       game.rhs_flat(x.flat, 2.0), atol=1e-12)
 
 
 def test_rhs_zero_set_gamma_invariant(game, eips):
     for x in _random_profiles(eips, 20, seed=11):
-        z1 = np.abs(game.replicator_rhs(x, 1.0)) < 1e-12
-        z10 = np.abs(game.replicator_rhs(x, 10.0)) < 1e-11
+        z1 = np.abs(game.rhs_flat(x.flat, 1.0)) < 1e-12
+        z10 = np.abs(game.rhs_flat(x.flat, 10.0)) < 1e-11
         assert np.array_equal(z1, z10)
-
-
-def test_rhs_flat_matches_profile_api(game, eips):
-    for x in _random_profiles(eips, 10, seed=3):
-        assert np.allclose(game.replicator_rhs(x, 0.42),
-                           game.rhs_flat(x.flat, 0.42), atol=1e-12)
 
 
 def test_lipschitz_ratio_bounded(game, eips):
     profiles = _random_profiles(eips, 40, seed=5)
     worst = 0.0
     for x, y in zip(profiles[::2], profiles[1::2]):
-        num = np.max(np.abs(game.replicator_rhs(x, 1.0) - game.replicator_rhs(y, 1.0)))
+        num = np.max(np.abs(game.rhs_flat(x.flat, 1.0) - game.rhs_flat(y.flat, 1.0)))
         den = np.sum(np.abs(x.flat - y.flat))
         worst = max(worst, num / den)
     assert math.isfinite(worst)
@@ -258,10 +252,10 @@ def test_saturation_gives_non_finite_field():
     x = MixedStrategyProfile.pure(eips, [4, 8])
     assert game.utilization(0, x) == 1.0
     with np.errstate(invalid="ignore"):
-        assert not np.all(np.isfinite(game.utilization_cost_vector(0, x)))
-        assert not np.all(np.isfinite(game.replicator_rhs(x, 1.0)))
+        assert not math.isfinite(game.utilization_cost(0, 4, x))
+        assert not np.all(np.isfinite(game.rhs_flat(x.flat, 1.0)))
     x = MixedStrategyProfile.uniform(eips)
-    assert np.all(np.isfinite(game.replicator_rhs(x, 1.0)))
+    assert np.all(np.isfinite(game.rhs_flat(x.flat, 1.0)))
 
 
 # --------------------------------------------- bit identity of the field
@@ -383,18 +377,17 @@ def test_compiled_field_bit_identical_to_tensordot_form(name):
     shape = tables[0].shape
     for levels in itertools.product(*[range(s) for s in shape]):
         for i in range(len(eips)):
-            assert _same_bits(game.base_payoff(i, levels), tables[i][levels])
+            assert _same_bits(game._base_payoffs(levels)[i], tables[i][levels])
     sizes = [e.num_strategies for e in eips]
     states = _probe_states(sizes, 600, seed=len(name))
     for m, flat in enumerate(states):
         gamma = (0.42, 1.0, 3.7)[m % 3]
         assert _same_bits(game.rhs_flat(flat, gamma),
                           _seed_rhs_flat(game, tables, flat, gamma)), (name, m)
-    # the profile-level payoffs wrap the same plan (report.json utilities)
+    # the profile-level payoffs evaluate the same plan (report.json utilities)
     for flat in states[:100:5] + states[1:100:5] + states[2:100:5]:
         x = MixedStrategyProfile.from_flat(sizes, flat)
-        phi = game.replicator_rhs(x, 1.0)
-        assert _same_bits(phi, _seed_rhs_flat(game, tables, flat, 1.0))
+        phi = _seed_rhs_flat(game, tables, flat, 1.0)
         for i in range(len(eips)):
             u = game.payoff_vector(i, x)
             xi = x.blocks[i]
