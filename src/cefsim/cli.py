@@ -32,6 +32,8 @@ EXIT_UNCONVERGED = 3
 
 # the largest grid in use, the kernel default, has 500 values
 MAX_GRID_VALUES = 100_000
+# rows of trajectory.csv formatted at a time
+CSV_CHUNK = 1000
 
 
 def _fmt(v) -> str:
@@ -45,6 +47,20 @@ def _write_csv(path: Path, comment: str, cols, rows) -> None:
     lines = [comment, ",".join(cols)]
     lines.extend(",".join(map(_fmt, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_float_csv(path: Path, comment: str, cols, *columns: np.ndarray) -> None:
+    """`_write_csv` of float columns: the 1-D and 2-D arrays in `columns`,
+    one row per sample, side by side.  Rows are formatted CSV_CHUNK at a
+    time; '%.17g' % v is `_fmt(v)` for every float, so the bytes are the
+    same.
+    """
+    line = ",".join(["%.17g"] * len(cols)) + "\n"
+    with path.open("w") as f:
+        f.write(f"{comment}\n{','.join(cols)}\n")
+        for a in range(0, len(columns[0]), CSV_CHUNK):
+            rows = np.column_stack([c[a:a + CSV_CHUNK] for c in columns]).tolist()
+            f.write("".join([line % tuple(row) for row in rows]))
 
 
 def _metadata(config: ScenarioConfig, alpha: float) -> dict:
@@ -101,8 +117,8 @@ def cmd_simulate(args) -> int:
 
     header = ["t"] + [f"x_{i + 1}_{j}" for i, e in enumerate(config.eips)
                       for j in range(e.num_strategies)]
-    _write_csv(out / "trajectory.csv", _meta_comment(meta), header,
-               ([t, *state] for t, state in zip(traj.times, traj.states)))
+    _write_float_csv(out / "trajectory.csv", _meta_comment(meta), header,
+                     traj.times, traj.states)
 
     doc = {
         "equilibrium": [[float(v) for v in b] for b in report.equilibrium.blocks],

@@ -20,6 +20,11 @@ from .game import FederationGame, MixedStrategyProfile
 ADJACENCY_THRESHOLD = 1e-4
 NEIGHBORHOOD_THRESHOLD = 0.01
 
+# 0-d arrays as the scalar operands of ufuncs skip the conversion that a
+# Python float costs on every call
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
 
 def project_simplex_flat(raw: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
     """Clamp negatives to zero and renormalize each block to sum one.
@@ -28,14 +33,17 @@ def project_simplex_flat(raw: np.ndarray, block_sizes: Sequence[int]) -> np.ndar
     entirely non-positive (no direction to renormalize toward).
     """
     raw = np.asarray(raw, dtype=float)
-    if not np.isfinite(raw).all():
+    # on a state this short, a list costs less than a ufunc reduction
+    if not all(np.isfinite(raw).tolist()):
         raise ValueError("cannot project non-finite vector")
-    out = np.maximum(raw, 0.0)
+    out = np.maximum(raw, _ZERO)
+    total = np.empty(())
     pos = 0
     for s in block_sizes:
         block = out[pos:pos + s]
-        total = block.sum()
-        if total == 0.0:
+        # block.sum(), the same pairwise reduction
+        np.add.reduce(block, 0, None, total)
+        if not total:
             raise ValueError(f"block at offset {pos} is all zero after clamping")
         block /= total
         pos += s
@@ -81,22 +89,13 @@ def simulate(game: FederationGame, x_init: MixedStrategyProfile,
     if not gamma > 0:
         raise ValueError("adaptation speed gamma must be > 0")
     sizes = tuple(e.num_strategies for e in game.eips)
-    proj_mags = [0.0]
-    correction = np.empty(sum(sizes))
-
-    def postprocess(raw):
-        fixed = project_simplex_flat(raw, sizes)
-        np.subtract(fixed, raw, out=correction)
-        proj_mags.append(float(np.abs(correction, out=correction).max()))
-        return fixed
-
     sol = solve_fde_ivp(lambda y: game.rhs_flat(y, gamma), x_init.flat, solver,
-                        postprocess=postprocess)
+                        postprocess=lambda raw: project_simplex_flat(raw, sizes))
     changes = np.zeros(len(sol.times))
     changes[1:] = np.max(np.abs(np.diff(sol.states, axis=0)), axis=1)
     return Trajectory(times=sol.times, states=sol.states, block_sizes=sizes,
                       step_changes=changes,
-                      projection_magnitudes=np.asarray(proj_mags),
+                      projection_magnitudes=sol.postprocess_corrections,
                       game=game, gamma=gamma)
 
 

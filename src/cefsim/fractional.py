@@ -150,7 +150,8 @@ class FdeSolution:
 
     times: np.ndarray
     states: np.ndarray                 # shape (steps+1, dim)
-    corrector_residuals: np.ndarray    # per step, inf-norm corrector update
+    corrector_residuals: np.ndarray    # per step, inf-norm of the last corrector update
+    postprocess_corrections: np.ndarray  # per step, inf-norm of the postprocess change
 
 
 class FdeAbortError(RuntimeError):
@@ -169,6 +170,10 @@ def _left_weight(j: int, a: float) -> float:
 # length unit of the directly summed near history in full-memory runs;
 # 32 to 512 time alike on a 10^4-step run
 FAR_BLOCK = 64
+# block length times columns of one far-field FFT group
+FFT_GROUP = 1 << 14
+# steps whose corrector and postprocess diagnostics are computed together
+DIAG_BLOCK = 64
 
 
 class _FarHistory:
@@ -201,20 +206,24 @@ class _FarHistory:
         # distances t - m run over [1, 2L), so a size-2L FFT does not wrap
         size = 2 * L
         if L not in self._spectra:
-            self._spectra[L] = (np.fft.rfft(self.b[:size], size),
-                                np.fft.rfft(self.ac[:size], size))
+            self._spectra[L] = (np.fft.rfft(self.b[:size], size)[:, None],
+                                np.fft.rfft(self.ac[:size], size)[:, None])
         wb, wac = self._spectra[L]
         src = self.fhist[n - L:n]
-        # one column at a time keeps the FFT temporaries small
-        for c in range(src.shape[1]):
-            col = src[:, c]
-            spec = np.fft.rfft(col, size)
-            self.pred[n:hi, c] += np.fft.irfft(spec * wb, size)[L:L + hi - n]
+        # one FFT per group of columns, each column transformed as on its
+        # own; a group's input, spectra and output hold about
+        # 64 * L * width bytes, near 1 MB
+        width = max(1, FFT_GROUP // L)
+        for c in range(0, src.shape[1], width):
+            cols = slice(c, c + width)
+            group = src[:, cols]
+            spec = np.fft.rfft(group, size, axis=0)
+            self.pred[n:hi, cols] += np.fft.irfft(spec * wb, size, axis=0)[L:L + hi - n]
             if n == L:  # the first block: sample 0 is left out of `corr`
-                col = col.copy()
-                col[0] = 0.0
-                spec = np.fft.rfft(col, size)
-            self.corr[n:hi, c] += np.fft.irfft(spec * wac, size)[L:L + hi - n]
+                group = group.copy()
+                group[0] = 0.0
+                spec = np.fft.rfft(group, size, axis=0)
+            self.corr[n:hi, cols] += np.fft.irfft(spec * wac, size, axis=0)[L:L + hi - n]
 
 
 def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverConfig,
@@ -230,7 +239,10 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
     costs O(N log^2 N).  A window (`memory_truncation` < steps) sets
     lo = j + 1 - window and drops the far part.  `postprocess`, when
     given, maps each accepted state back into the admissible set before
-    it enters the history.
+    it enters the history, and raises ValueError on a non-finite state,
+    which the solver reports as FdeAbortError; without it the solver
+    checks finiteness itself.  `rhs` is passed rows of the solver's own
+    buffers, which it must not keep.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     a = config.alpha
@@ -242,15 +254,23 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
     d = np.arange(N + 1, dtype=float)
     b = (d + 1) ** a - d ** a                                   # predictor
     ac = (d + 2) ** (a + 1) + d ** (a + 1) - 2 * (d + 1) ** (a + 1)  # corrector, interior
-    c_pred = h ** a / math.gamma(a + 1)
-    c_corr = h ** a / math.gamma(a + 2)
+    # 0-d arrays: an in-place product with one skips the scalar conversion
+    c_pred = np.array(h ** a / math.gamma(a + 1))
+    c_corr = np.array(h ** a / math.gamma(a + 2))
     # reversed views: b_rev[N + 1 - m:] is b[:m][::-1], the same strided view
     b_rev, ac_rev = b[::-1], ac[::-1]
 
     states = np.empty((N + 1, x0.size))
     fhist = np.empty((N + 1, x0.size))
     resid = np.zeros(N + 1)
-    update = np.empty(x0.size)  # scratch for the last corrector update
+    corrections = np.zeros(N + 1)
+    # row j % DIAG_BLOCK: step j's iterate before the last corrector pass
+    # (the predictor when there is one pass) and its last one, before any
+    # postprocess; the diagnostics come from them a block of steps at a time
+    prev = np.empty((DIAG_BLOCK, x0.size))
+    raw = np.empty((DIAG_BLOCK, x0.size))
+    acc = np.empty(x0.size)
+    last = config.corrector_iterations - 1
     states[0] = x0
     fhist[0] = rhs(x0)
 
@@ -259,6 +279,7 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
     far = _FarHistory(b, ac, fhist, N) if window is None or window >= N else None
 
     for j in range(N):
+        r = j % DIAG_BLOCK
         lo = max(0, j + 1 - window) if far is None else j - j % FAR_BLOCK
 
         # predictor: fractional rectangle rule over the near history
@@ -275,22 +296,43 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
         if far is not None and lo:
             hp += far.pred[j]
             hist += far.corr[j] + _left_weight(j, a) * fhist[0]
-        # x0 is the free part of the Volterra equation at every t_{j+1}
-        xp = x0 + c_pred * hp
-
-        xc = xp
-        for _ in range(config.corrector_iterations):
-            fc = rhs(xc)
-            xnew = x0 + c_corr * (hist + fc)
-            resid[j + 1] = np.abs(np.subtract(xnew, xc, out=update), out=update).max()
-            xc = xnew
-        if not np.isfinite(xc).all():
-            raise FdeAbortError(j + 1)
-        if postprocess is not None:
-            xc = postprocess(xc)
+        # x0 is the free part of the Volterra equation at every t_{j+1}:
+        # x_p = x0 + c_pred * hp, x_c = x0 + c_corr * (hist + f(x))
+        # (out arguments positional: a ufunc keyword costs ~0.1 us a call)
+        hp *= c_pred
+        xc = np.add(x0, hp, prev[r])
+        for k in range(config.corrector_iterations):
+            np.add(hist, rhs(xc), acc)
+            acc *= c_corr
+            xc = np.add(x0, acc, raw[r] if k == last else prev[r])
+        if postprocess is None:
+            if not np.isfinite(xc).all():
+                raise FdeAbortError(j + 1)
+        else:
+            try:
+                xc = postprocess(xc)
+            except ValueError:
+                # the postprocess rejects a non-finite state; that is the
+                # solver's abort
+                if np.isfinite(xc).all():
+                    raise
+                raise FdeAbortError(j + 1) from None
         states[j + 1] = xc
         fhist[j + 1] = rhs(xc)
         if far is not None and (j + 2) % FAR_BLOCK == 0:
             far.add_block(j + 2)
+        if r == DIAG_BLOCK - 1 or j == N - 1:
+            # the inf-norms of the last corrector updates, then of the
+            # postprocess changes, of steps j - r .. j, computed in place
+            rows = slice(j - r + 1, j + 2)
+            _row_max_abs_diff(raw[:r + 1], prev[:r + 1], resid[rows])
+            _row_max_abs_diff(states[rows], raw[:r + 1], corrections[rows])
 
-    return FdeSolution(times=times, states=states, corrector_residuals=resid)
+    return FdeSolution(times=times, states=states, corrector_residuals=resid,
+                       postprocess_corrections=corrections)
+
+
+def _row_max_abs_diff(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = max |a[i] - b[i]| over each row; b is overwritten."""
+    diff = np.subtract(a, b, out=b)
+    np.max(np.abs(diff, out=diff), axis=1, out=out)

@@ -205,6 +205,42 @@ def recovery_pmf(placement: Sequence[int], k: int):
     return _hypergeometric_pmf(placement, k)
 
 
+def _utilization(s: float, clouds: int, capacity: int) -> float:
+    """Utilization of a provider with `clouds` edge clouds, `capacity`
+    workers and expected contribution `s` per cloud."""
+    return clouds * s / capacity
+
+
+def _amortized_cost(scale: float, w: float) -> float:
+    """Amortized utilization cost f(w) = scale * (1 - 1 / (1 - w)), with
+    scale = -C * rho."""
+    # the pole of 1/(1 - w): utilization 1 at the all-max share when
+    # capacity == E*L; a run that gets there aborts on the non-finite
+    # field (off-simplex solver stages may pass w > 1, which stays finite)
+    if w == 1.0:
+        return math.inf
+    return scale * (1.0 - 1.0 / (1.0 - w))
+
+
+def _utilization_cost(xi: np.ndarray, js: np.ndarray, clouds: int, capacity: int,
+                      scale: float, divisor: Optional[int]) -> Optional[np.ndarray]:
+    """Per-strategy utilization cost of a provider with share block xi, as
+    a fresh array; None when the provider contributes nothing (it then
+    bears no utilization cost).  `divisor` is the cloud count, or None for
+    the literal net-utility formula.
+    """
+    s = float(js.dot(xi))
+    if s == 0.0:
+        return None
+    # (js * xi / s) * f / E, rounded step by step in that order
+    cost = js * xi
+    cost /= s
+    cost *= _amortized_cost(scale, _utilization(s, clouds, capacity))
+    if divisor:
+        cost /= divisor
+    return cost
+
+
 class FederationGame:
     """Expected payoffs and replicator dynamics of the federation game.
 
@@ -215,8 +251,8 @@ class FederationGame:
 
     The payoff tables and the per-provider contraction plan over them are
     built once, on the first payoff or field evaluation.  `rhs_flat` is
-    the one replicator field; `payoff_vector` and `average_payoff`
-    evaluate the same plan on a profile.
+    the one replicator field; `payoff_vector` and `average_payoff` take
+    their payoffs from the same loop over the plan.
     """
 
     def __init__(self, eips: Sequence[EipConfig], tasks: Sequence[TaskSpec],
@@ -233,49 +269,25 @@ class FederationGame:
         sizes = [e.num_strategies for e in self.eips]
         offsets = list(itertools.accumulate(sizes, initial=0))
         self._slices = tuple(slice(a, b) for a, b in zip(offsets, offsets[1:]))
-        self._js = tuple(np.arange(s, dtype=float) for s in sizes)
-        self._cost_scale = tuple(-e.fixed_cost * e.calibration_ratio for e in self.eips)
+        # per provider, the arguments of _utilization_cost after the shares
+        self._cost_terms = tuple(
+            (np.arange(e.num_strategies, dtype=float), e.num_clouds, e.capacity,
+             -e.fixed_cost * e.calibration_ratio,
+             None if literal_utilization_cost else e.num_clouds)
+            for e in self.eips)
         self._plan = None   # lazy: per-provider contraction plan, see _compile
         self._terms = {}    # task -> {placement: per-provider expected terms}
 
     # ------------------------------------------------------------------
     # utilization and its cost
 
-    def _utilization(self, i: int, s: float) -> float:
-        e = self.eips[i]
-        return e.num_clouds * s / e.capacity
-
     def utilization(self, i: int, x: MixedStrategyProfile) -> float:
-        return self._utilization(i, float(self._js[i].dot(x.blocks[i])))
-
-    def _amortized_cost(self, i: int, w: float) -> float:
-        # the pole of 1/(1 - w): utilization 1 at the all-max share when
-        # capacity == E*L; a run that gets there aborts on the non-finite
-        # field (off-simplex solver stages may pass w > 1, which stays finite)
-        if w == 1.0:
-            return math.inf
-        return self._cost_scale[i] * (1.0 - 1.0 / (1.0 - w))
-
-    def _utilization_cost(self, i: int, xi: np.ndarray) -> Optional[np.ndarray]:
-        """Per-strategy utilization cost of provider i with share block xi,
-        as a fresh array; None when the provider contributes nothing (it
-        then bears no utilization cost).
-        """
-        js = self._js[i]
-        s = float(js.dot(xi))
-        if s == 0.0:
-            return None
-        # (js * xi / s) * f / E, rounded step by step in that order
-        cost = js * xi
-        cost /= s
-        cost *= self._amortized_cost(i, self._utilization(i, s))
-        if not self.literal_utilization_cost:
-            cost /= self.eips[i].num_clouds
-        return cost
+        js, clouds, capacity, _, _ = self._cost_terms[i]
+        return _utilization(float(js.dot(x.blocks[i])), clouds, capacity)
 
     def utilization_cost(self, i: int, j: int, x: MixedStrategyProfile) -> float:
         """Utilization cost of strategy j of provider i at profile x."""
-        cost = self._utilization_cost(i, x.blocks[i])
+        cost = _utilization_cost(x.blocks[i], *self._cost_terms[i])
         return 0.0 if cost is None else float(cost[j])
 
     # ------------------------------------------------------------------
@@ -343,7 +355,9 @@ class FederationGame:
         view, never a contiguous copy, so every sum runs in the same order
         and the field keeps its bits.  The first contraction's operand is
         static and is built here.  A provider without opponents has its
-        table as its payoff.
+        table as its payoff.  Each provider's entry also carries its index,
+        its slice of the flat state and its `_utilization_cost` terms, so
+        the field loop looks nothing else up.
         """
         shape = tuple(e.num_strategies for e in self.eips)
         tables = [np.zeros(shape) for _ in self.eips]
@@ -360,35 +374,23 @@ class FederationGame:
                 flat2d = (math.prod(dims[k] for k in kept), dims[other])
                 steps.append((other, tuple(dims), kept + [other], flat2d))
                 dims = [dims[k] for k in kept]
+            fixed = (i, self._slices[i]) + self._cost_terms[i]
             if not steps:
-                plan.append((table, None, ()))
+                plan.append((table, None, ()) + fixed)
                 continue
             first, _, axes, flat2d = steps[0]
-            plan.append((table.transpose(axes).reshape(flat2d), first, tuple(steps[1:])))
+            plan.append((table.transpose(axes).reshape(flat2d), first, tuple(steps[1:]))
+                        + fixed)
         self._plan = plan
         return plan
-
-    def _payoff(self, i: int, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        """Expected payoff of each strategy of provider i against the
-        opponents' shares in `blocks`, as a fresh array.
-        """
-        operand, other, rest = (self._plan or self._compile())[i]
-        if other is None:
-            u = operand.copy()
-        else:
-            u = operand.dot(blocks[other])
-            for other, dims, axes, flat2d in rest:
-                u = u.reshape(dims).transpose(axes).reshape(flat2d).dot(blocks[other])
-        cost = self._utilization_cost(i, blocks[i])
-        if cost is not None:
-            u = np.subtract(u, cost, out=cost)
-        return u
 
     def payoff_vector(self, i: int, x: MixedStrategyProfile) -> np.ndarray:
         """Expected payoff of each strategy of provider i against the
         opponents' mixed strategies.
         """
-        return self._payoff(i, x.blocks)
+        payoffs = []
+        self._field(x.flat, 1.0, payoffs)
+        return payoffs[i]
 
     def average_payoff(self, i: int, x: MixedStrategyProfile) -> float:
         return float(x.blocks[i] @ self.payoff_vector(i, x))
@@ -401,14 +403,30 @@ class FederationGame:
         on the flat state vector (laid out as `MixedStrategyProfile.flat`),
         without profile validation.
         """
+        return self._field(flat, gamma)
+
+    def _field(self, flat: np.ndarray, gamma: float,
+               payoffs: Optional[list] = None) -> np.ndarray:
+        """The replicator field at `flat`; when `payoffs` is a list, each
+        provider's expected payoff vector is appended to it."""
         blocks = [flat[sl] for sl in self._slices]
-        out = np.empty_like(flat)
-        for i, sl in enumerate(self._slices):
+        # gamma * xi * (u - ubar), rounded step by step in that order
+        out = flat * gamma
+        plan = self._plan or self._compile()
+        for operand, first, rest, i, sl, js, clouds, capacity, scale, divisor in plan:
+            if first is None:
+                u = operand.copy()
+            else:
+                u = operand.dot(blocks[first])
+                for other, dims, axes, flat2d in rest:
+                    u = u.reshape(dims).transpose(axes).reshape(flat2d).dot(blocks[other])
             xi = blocks[i]
-            u = self._payoff(i, blocks)
+            cost = _utilization_cost(xi, js, clouds, capacity, scale, divisor)
+            if cost is not None:
+                u -= cost
+            if payoffs is not None:
+                payoffs.append(u.copy())
             u -= xi.dot(u)
-            # gamma * xi * (u - ubar), rounded step by step in that order
             rate = out[sl]
-            np.multiply(xi, gamma, out=rate)
             rate *= u
         return out

@@ -122,6 +122,24 @@ def test_cli_simulate_outputs(tmp_path, fast_config):
     assert (out / "trajectory.svg").exists()
 
 
+def test_trajectory_writer_matches_row_writer(tmp_path):
+    # more rows than one chunk, and values whose shortest round-trip form
+    # is unusual: signed zero, the smallest subnormal, a large integer
+    rng = np.random.default_rng(3)
+    rows = 2 * cli.CSV_CHUNK + 17
+    times = np.linspace(0.0, 1.0, rows)
+    states = rng.normal(0.0, 1.0, (rows, 4)) * 10.0 ** rng.integers(-300, 300, (rows, 4))
+    states[::7, 0] = -0.0
+    states[1::7, 1] = 5e-324
+    states[2::7, 2] = 1e16
+    states[3::7, 3] = -5e-324
+    cols = ["t", "a", "b", "c", "d"]
+    cli._write_float_csv(tmp_path / "chunked.csv", "# meta", cols, times, states)
+    cli._write_csv(tmp_path / "rows.csv", "# meta", cols,
+                   ([t, *state] for t, state in zip(times, states)))
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_cli_simulate_unconverged_exit(tmp_path, doc):
     # the heavily subdiffusive run keeps fluctuating and never settles
     doc["solver"]["steps"] = 1500

@@ -5,7 +5,7 @@ from cefsim.evolution import (EquilibriumReport, Trajectory, detect_convergence,
                               direction_field, estimate_lipschitz,
                               project_simplex_flat, simulate, stability_probe,
                               stability_weight)
-from cefsim.fractional import SolverConfig
+from cefsim.fractional import FdeAbortError, SolverConfig, solve_fde_ivp
 from cefsim.game import EipConfig, FederationGame, MixedStrategyProfile, TaskSpec
 
 GAMMA = 0.42
@@ -110,6 +110,78 @@ def test_projection_magnitude_tiny_for_nonovershooting_orders(game, uniform):
     for a in (0.8, 1.0):
         traj = simulate(game, uniform, SolverConfig(alpha=a, steps=2000), GAMMA)
         assert np.max(traj.projection_magnitudes) < 1e-6
+
+
+def _per_step_diagnostics(game, x0, solver, gamma):
+    """The solve `simulate` makes, with each step's corrector update
+    max|xnew - xc| and simplex correction max|fixed - raw| recorded as the
+    step happens."""
+    sizes = tuple(e.num_strategies for e in game.eips)
+    rhs_input, updates, corrections = [None], [0.0], [0.0]
+
+    def rhs(y):
+        rhs_input[0] = y.copy()
+        return game.rhs_flat(y, gamma)
+
+    def postprocess(raw):
+        # the last rhs input before the projection is the iterate the
+        # last corrector pass started from
+        fixed = project_simplex_flat(raw, sizes)
+        updates.append(float(np.abs(raw - rhs_input[0]).max()))
+        corrections.append(float(np.abs(fixed - raw).max()))
+        return fixed
+
+    sol = solve_fde_ivp(rhs, x0.flat, solver, postprocess=postprocess)
+    return sol, np.array(updates), np.array(corrections)
+
+
+@pytest.mark.parametrize("solver", [
+    SolverConfig(alpha=0.8, steps=1000, memory_truncation=100),
+    # blows up (projection corrections up to ~1e7) and never converges
+    SolverConfig(alpha=0.5, steps=1500),
+    SolverConfig(alpha=0.8, steps=600, corrector_iterations=3),
+], ids=["windowed", "alpha_0.5_full_memory", "three_corrector_passes"])
+def test_diagnostics_match_per_step_formulas(game, uniform, solver):
+    sol, updates, corrections = _per_step_diagnostics(game, uniform, solver, GAMMA)
+    assert _same_bits(sol.corrector_residuals, updates)
+    assert _same_bits(sol.postprocess_corrections, corrections)
+    traj = simulate(game, uniform, solver, GAMMA)
+    assert _same_bits(traj.states, sol.states)
+    assert _same_bits(traj.projection_magnitudes, corrections)
+    if solver.alpha == 0.5:
+        assert corrections.max() > 1.0
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_non_finite_corrector_output_aborts_simulate():
+    # capacity == num_clouds * max_workers: the all-max start has
+    # utilization 1, so the field and the first corrector output are
+    # non-finite; the projection rejects it and the solver reports the step
+    eips = (EipConfig(1, 10, 4, 1800, 1.0, 1e-5, 40),
+            EipConfig(2, 120, 8, 2800, 1.0, 1e-5, 1100))
+    game = FederationGame(eips, [TaskSpec(6, 4, 30, 30, 10, 1e6, 1.0)])
+    x0 = MixedStrategyProfile([np.array([0, 0, 0, 0, 1.0]), np.full(9, 1 / 9)])
+    with pytest.raises(FdeAbortError) as exc, np.errstate(invalid="ignore"):
+        simulate(game, x0, SolverConfig(alpha=0.8, steps=50), GAMMA)
+    assert exc.value.step == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projection_rejects_non_finite_vector(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        project_simplex_flat(np.array([0.2, bad, 0.5, 1.0]), (3, 1))
+
+
+def test_postprocess_errors_on_finite_states_pass_through():
+    def reject(raw):
+        raise ValueError("rejected")
+    with pytest.raises(ValueError, match="rejected"):
+        solve_fde_ivp(lambda y: -y, [1.0], SolverConfig(alpha=0.8, steps=10),
+                      postprocess=reject)
 
 
 # ------------------------------------------------------------- detection

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cefsim.game import (EipConfig, FederationGame, MixedStrategyProfile,
-                         TaskSpec, joint_assignment_pmf, recovery_pmf)
+                         TaskSpec, _amortized_cost, joint_assignment_pmf,
+                         recovery_pmf)
 
 
 @pytest.fixture
@@ -128,8 +129,11 @@ def test_utilization_cost_chain(game, eips):
     assert game.utilization_cost(0, 0, zero) == 0.0
 
 
-def test_amortized_cost_value(game):
-    assert game._amortized_cost(0, 0.5) == pytest.approx(1800.0, abs=1e-9)
+def test_amortized_cost_value(eips):
+    # f(0.5) = -C * rho * (1 - 1 / (1 - 0.5)) for provider 1
+    e = eips[0]
+    scale = -e.fixed_cost * e.calibration_ratio
+    assert _amortized_cost(scale, 0.5) == pytest.approx(1800.0, abs=1e-9)
 
 
 def test_literal_branch_omits_cloud_count(eips, task):
