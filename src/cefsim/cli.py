@@ -22,7 +22,7 @@ from .config import ConfigError, ScenarioConfig, parse_config
 from .evolution import detect_convergence, direction_field, simulate
 from .experiments import SWEEPABLE, SweepSpec, kernel_study, run_sweep
 from .fractional import FdeAbortError
-from .game import MixedStrategyProfile
+from .game import FederationGame, MixedStrategyProfile
 from . import svgplot
 
 EXIT_OK = 0
@@ -99,10 +99,10 @@ def _parse_grid(text: str) -> list[float]:
     return [round(lo + k * step, 12) for k in range(math.floor(span) + 1)]
 
 
-def _last_columns(config: ScenarioConfig) -> list[int]:
+def _last_columns(game: FederationGame) -> list[int]:
     """Flat-state column of each provider's last strategy (its largest
     contribution)."""
-    return [c - 1 for c in itertools.accumulate(e.num_strategies for e in config.eips)]
+    return [c - 1 for c in itertools.accumulate(game.block_sizes)]
 
 
 def cmd_simulate(args) -> int:
@@ -131,7 +131,7 @@ def cmd_simulate(args) -> int:
     (out / "report.json").write_text(json.dumps(doc, indent=2) + "\n")
 
     series = {f"x_{i + 1}_{e.max_workers}": traj.states[:, col].tolist()
-              for i, (e, col) in enumerate(zip(config.eips, _last_columns(config)))}
+              for i, (e, col) in enumerate(zip(config.eips, _last_columns(traj.game)))}
     svgplot.line_plot(out / "trajectory.svg", traj.times.tolist(), series,
                       title=f"last-strategy shares, alpha={solver.alpha}",
                       xlabel="t", ylabel="share")
@@ -178,8 +178,8 @@ def cmd_field(args) -> int:
     solver = _solver(config, args.alpha)
     values = _parse_grid(args.grid_spec)
     grid = _field_grid(config, values)
-    polylines = direction_field(config.game(), grid, solver, config.gamma,
-                                stride=args.stride)
+    game = config.game()
+    polylines = direction_field(game, grid, solver, config.gamma, stride=args.stride)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     meta = _metadata(config, solver.alpha)
@@ -191,7 +191,7 @@ def cmd_field(args) -> int:
     (out / "field.json").write_text(json.dumps(doc, indent=2) + "\n")
     # project onto the first two providers' last-strategy shares for the
     # quick-look; a lone provider is plotted against itself
-    last = _last_columns(config)
+    last = _last_columns(game)
     idx1, idx2 = last[0], last[min(1, len(last) - 1)]
     svgplot.polyline_plot(out / "field.svg",
                           [[(state[idx1], state[idx2]) for state in line]

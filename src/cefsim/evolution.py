@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fractional import SolverConfig, solve_fde_ivp
+from .fractional import FdeSolution, SolverConfig, solve_fde_ivp
 from .game import FederationGame, MixedStrategyProfile
 
 ADJACENCY_THRESHOLD = 1e-4
@@ -51,20 +51,18 @@ def project_simplex_flat(raw: np.ndarray, block_sizes: Sequence[int]) -> np.ndar
 
 
 @dataclass
-class Trajectory:
-    """Time-indexed strategy profiles with per-step diagnostics."""
+class Trajectory(FdeSolution):
+    """The solver's solution of a replicator run, with the game and the
+    adaptation speed it was run with.  `states` holds flat profiles, and
+    `postprocess_corrections` the per-step simplex correction.
+    """
 
-    times: np.ndarray
-    states: np.ndarray                  # shape (steps+1, total strategies), flat profiles
-    block_sizes: tuple[int, ...]
-    step_changes: np.ndarray            # max |x[j] - x[j-1]| per step, index 0 is 0
-    projection_magnitudes: np.ndarray   # inf-norm of the per-step simplex correction
     game: FederationGame
     gamma: float
 
     @property
     def terminal(self) -> MixedStrategyProfile:
-        return MixedStrategyProfile.from_flat(self.block_sizes, self.states[-1])
+        return MixedStrategyProfile.from_flat(self.game.block_sizes, self.states[-1])
 
 
 @dataclass
@@ -88,15 +86,10 @@ def simulate(game: FederationGame, x_init: MixedStrategyProfile,
     """
     if not gamma > 0:
         raise ValueError("adaptation speed gamma must be > 0")
-    sizes = tuple(e.num_strategies for e in game.eips)
+    sizes = game.block_sizes
     sol = solve_fde_ivp(lambda y: game.rhs_flat(y, gamma), x_init.flat, solver,
                         postprocess=lambda raw: project_simplex_flat(raw, sizes))
-    changes = np.zeros(len(sol.times))
-    changes[1:] = np.max(np.abs(np.diff(sol.states, axis=0)), axis=1)
-    return Trajectory(times=sol.times, states=sol.states, block_sizes=sizes,
-                      step_changes=changes,
-                      projection_magnitudes=sol.postprocess_corrections,
-                      game=game, gamma=gamma)
+    return Trajectory(**vars(sol), game=game, gamma=gamma)
 
 
 def detect_convergence(traj: Trajectory) -> EquilibriumReport:
@@ -115,7 +108,9 @@ def detect_convergence(traj: Trajectory) -> EquilibriumReport:
         raise ValueError("need a trajectory with at least 2 steps")
     x_star = traj.terminal
 
-    viol = np.nonzero(traj.step_changes[1:] >= ADJACENCY_THRESHOLD)[0]
+    # max |x[j] - x[j-1]| of steps j = 1 .. n_steps
+    changes = np.max(np.abs(np.diff(traj.states, axis=0)), axis=1)
+    viol = np.nonzero(changes >= ADJACENCY_THRESHOLD)[0]
     if viol.size == 0:
         t_adj = 0.0
     else:
@@ -160,7 +155,7 @@ def estimate_lipschitz(game: FederationGame, gamma: float, sample_count: int = 1
     """
     if sample_count < 2:
         raise ValueError("need at least 2 sample pairs")
-    sizes = tuple(e.num_strategies for e in game.eips)
+    sizes = game.block_sizes
     dim = sum(sizes)
     # Kronecker sequence on sqrt-of-prime irrationals, folded onto the simplices
     primes = []

@@ -115,6 +115,9 @@ class MixedStrategyProfile:
         for i, b in enumerate(self.blocks):
             if b.ndim != 1 or b.size < 1:
                 raise ValueError(f"block {i} must be a nonempty vector")
+            # NaN fails every comparison, so the range check would pass it
+            if not np.isfinite(b).all():
+                raise ValueError(f"block {i} entries must be finite")
             if np.any(b < -SIMPLEX_TOL) or np.any(b > 1 + SIMPLEX_TOL):
                 raise ValueError(f"block {i} entries must lie in [0, 1]")
             if abs(b.sum() - 1.0) > SIMPLEX_TOL:
@@ -261,13 +264,16 @@ class FederationGame:
             raise ValueError("need at least one provider")
         if not tasks:
             raise ValueError("need at least one task type")
-        if sum(t.rate for t in tasks) <= 0:
+        total_rate = sum(t.rate for t in tasks)
+        if total_rate <= 0:
             raise ValueError("task arrival rates must not all be zero")
         self.eips = tuple(eips)
         self.tasks = tuple(tasks)
         self.literal_utilization_cost = literal_utilization_cost
-        sizes = [e.num_strategies for e in self.eips]
-        offsets = list(itertools.accumulate(sizes, initial=0))
+        # the flat layout of a profile: one block of L_i + 1 shares per provider
+        self.block_sizes = tuple(e.num_strategies for e in self.eips)
+        self._task_weights = tuple(t.rate / total_rate for t in self.tasks)
+        offsets = list(itertools.accumulate(self.block_sizes, initial=0))
         self._slices = tuple(slice(a, b) for a, b in zip(offsets, offsets[1:]))
         # per provider, the arguments of _utilization_cost after the shares
         self._cost_terms = tuple(
@@ -332,16 +338,13 @@ class FederationGame:
             raise ValueError("levels[i] must equal l_i")
         return self._expected_task_values(levels, task)[i] - self.utilization_cost(i, l_i, x)
 
-    def _task_weight(self, task: TaskSpec) -> float:
-        return task.rate / sum(t.rate for t in self.tasks)
-
     def _base_payoffs(self, levels: Sequence[int]) -> list[float]:
         """Task-weighted expected payoff of every provider at a pure
         profile, excluding the utilization cost (which depends on the
         mixed state).
         """
-        weighted = [(self._task_weight(t), self._expected_task_values(levels, t))
-                    for t in self.tasks]
+        weighted = [(w, self._expected_task_values(levels, t))
+                    for w, t in zip(self._task_weights, self.tasks)]
         return [sum(w * values[i] for w, values in weighted)
                 for i in range(len(self.eips))]
 
@@ -359,7 +362,7 @@ class FederationGame:
         its slice of the flat state and its `_utilization_cost` terms, so
         the field loop looks nothing else up.
         """
-        shape = tuple(e.num_strategies for e in self.eips)
+        shape = self.block_sizes
         tables = [np.zeros(shape) for _ in self.eips]
         for levels in itertools.product(*[range(s) for s in shape]):
             for table, value in zip(tables, self._base_payoffs(levels)):

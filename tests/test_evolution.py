@@ -109,14 +109,14 @@ def test_simulate_rejects_nonpositive_gamma(game, uniform, gamma):
 def test_projection_magnitude_tiny_for_nonovershooting_orders(game, uniform):
     for a in (0.8, 1.0):
         traj = simulate(game, uniform, SolverConfig(alpha=a, steps=2000), GAMMA)
-        assert np.max(traj.projection_magnitudes) < 1e-6
+        assert np.max(traj.postprocess_corrections) < 1e-6
 
 
 def _per_step_diagnostics(game, x0, solver, gamma):
     """The solve `simulate` makes, with each step's corrector update
     max|xnew - xc| and simplex correction max|fixed - raw| recorded as the
     step happens."""
-    sizes = tuple(e.num_strategies for e in game.eips)
+    sizes = game.block_sizes
     rhs_input, updates, corrections = [None], [0.0], [0.0]
 
     def rhs(y):
@@ -146,8 +146,12 @@ def test_diagnostics_match_per_step_formulas(game, uniform, solver):
     assert _same_bits(sol.corrector_residuals, updates)
     assert _same_bits(sol.postprocess_corrections, corrections)
     traj = simulate(game, uniform, solver, GAMMA)
+    assert _same_bits(traj.times, sol.times)
     assert _same_bits(traj.states, sol.states)
-    assert _same_bits(traj.projection_magnitudes, corrections)
+    assert _same_bits(traj.corrector_residuals, sol.corrector_residuals)
+    assert _same_bits(traj.corrector_residuals, updates)
+    assert _same_bits(traj.postprocess_corrections, sol.postprocess_corrections)
+    assert _same_bits(traj.postprocess_corrections, corrections)
     if solver.alpha == 0.5:
         assert corrections.max() > 1.0
 
@@ -189,12 +193,11 @@ def test_postprocess_errors_on_finite_states_pass_through():
 def _synthetic(states, h=0.01):
     states = np.asarray(states, dtype=float)
     times = np.arange(len(states)) * h
-    changes = np.zeros(len(states))
-    changes[1:] = np.max(np.abs(np.diff(states, axis=0)), axis=1)
     eips = (EipConfig(1, 1, 1, 0.0, 1.0, 0.0, 1),)
     game = FederationGame(eips, [TaskSpec(1, 1, 0, 0, 0, 0, 1.0)])
-    return Trajectory(times=times, states=states, block_sizes=(2,),
-                      step_changes=changes, projection_magnitudes=np.zeros(len(states)),
+    return Trajectory(times=times, states=states,
+                      corrector_residuals=np.zeros(len(states)),
+                      postprocess_corrections=np.zeros(len(states)),
                       game=game, gamma=1.0)
 
 

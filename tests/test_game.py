@@ -55,6 +55,18 @@ def test_profile_validation(eips):
     assert all(np.array_equal(a, b) for a, b in zip(x.blocks, y.blocks))
 
 
+@pytest.mark.parametrize("blocks, bad", [
+    ([[np.nan, 1.0], [0.5, 0.5]], 0),
+    ([[0.0, 1.0], [0.5, np.nan]], 1),
+    ([[0.5, 0.5], [np.nan, np.nan]], 1),
+    ([[np.inf, 1.0], [0.5, 0.5]], 0),
+    ([[0.5, 0.5], [1.0, -np.inf]], 1),
+], ids=["nan_first_block", "nan_second_block", "all_nan", "inf", "minus_inf"])
+def test_profile_rejects_non_finite_entries(blocks, bad):
+    with pytest.raises(ValueError, match=f"block {bad} entries must be finite"):
+        MixedStrategyProfile([np.array(b) for b in blocks])
+
+
 # ------------------------------------------------------------ assignment
 
 def test_assignment_trivial_cases():
@@ -377,6 +389,7 @@ BIT_GAMES = {
 def test_compiled_field_bit_identical_to_tensordot_form(name):
     eips, tasks, literal = BIT_GAMES[name]
     game = FederationGame(eips, tasks, literal_utilization_cost=literal)
+    assert game.block_sizes == MixedStrategyProfile.uniform(eips).block_sizes
     tables = _seed_tables(game)
     shape = tables[0].shape
     for levels in itertools.product(*[range(s) for s in shape]):

@@ -1,0 +1,154 @@
+"""Byte-identity check of the cefsim CLI between two source trees.
+
+    python3 tools/compare_outputs.py PARENT_ROOT CHANGE_ROOT
+
+Each root is a checkout of this repository; only its `src/` is run.  For
+each tree, every command below runs in a fresh Python process that
+imports cefsim from that tree's `src/` and nowhere else:
+
+- seeds 0-9 of the three benchmark workloads, with the configs that
+  `perfbench/workloads.generate` of this checkout writes from each
+  tree's bundled scenario;
+- `simulate` of the bundled scenario at alpha 0.5 with 1500 steps (a
+  numerical blow-up that exits 3) and at alpha 1.3 with 3000 steps;
+- `sweep --param r1 --grid 10:60:10` of the bundled scenario;
+- `kernel --alphas 0.65,0.8,1.2`.
+
+The two trees' runs of one command go side by side, one process each.
+Every file a command writes and its exit code must be the same for both
+trees.  Exits 0 when all are identical and 1 otherwise, after naming
+each difference; the outputs are then kept in a temporary directory,
+whose path is printed, and removed otherwise.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402
+from run import THREAD_VARS  # noqa: E402
+
+SEEDS = range(10)
+TIMEOUT_S = 600
+
+# run in the child: import cefsim from argv[1] only, then run the CLI
+RUNNER = """\
+import sys
+from pathlib import Path
+src = Path(sys.argv[1]).resolve()
+sys.path.insert(0, str(src))
+from cefsim import cli
+if Path(cli.__file__).resolve().parent != src / "cefsim":
+    print(f"cefsim imported from {cli.__file__}, not {src}", file=sys.stderr)
+    sys.exit(125)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def _bundled(src: Path, work: Path, name: str, steps: int) -> Path:
+    """The tree's bundled scenario with `steps` solver steps."""
+    doc = json.loads((src / "cefsim" / "data" / "canonical_scenario.json").read_text())
+    doc["solver"]["steps"] = steps
+    path = work / f"{name}.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    return path
+
+
+def commands(src: Path, work: Path) -> dict[str, tuple[list[str], int]]:
+    """label -> (CLI arguments without --out-dir, CEF_THREADS)."""
+    work.mkdir(parents=True)
+    cmds = {}
+    for name in workloads.WORKLOADS:
+        for seed in SEEDS:
+            inv = workloads.generate(name, seed, src, work)
+            cmds[f"{name}-seed{seed}"] = ([inv.command, str(inv.config_path), *inv.args],
+                                           inv.threads)
+    bundled = src / "cefsim" / "data" / "canonical_scenario.json"
+    for alpha, steps in (("0.5", 1500), ("1.3", 3000)):
+        cfg = _bundled(src, work, f"bundled-{steps}", steps)
+        cmds[f"simulate-alpha{alpha}"] = (["simulate", str(cfg), "--alpha", alpha], 1)
+    cmds["sweep-r1"] = (["sweep", str(bundled), "--param", "r1", "--grid", "10:60:10"], 1)
+    cmds["kernel"] = (["kernel", "--alphas", "0.65,0.8,1.2"], 1)
+    return cmds
+
+
+def run(src: Path, args: list[str], threads: int, out_dir: Path) -> tuple[int, str]:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update({var: "1" for var in THREAD_VARS}, CEF_THREADS=str(threads))
+    out_dir.mkdir(parents=True)
+    done = subprocess.run([sys.executable, "-c", RUNNER, str(src), *args,
+                           "--out-dir", str(out_dir)],
+                          cwd=out_dir, env=env, capture_output=True, text=True,
+                          timeout=TIMEOUT_S)
+    return done.returncode, done.stderr
+
+
+def _files(root: Path) -> set[Path]:
+    return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+
+def differences(label: str, a: Path, b: Path, code_a: int, code_b: int) -> list[str]:
+    found = []
+    if code_a != code_b:
+        found.append(f"{label}: exit code {code_a} != {code_b}")
+    files_a, files_b = _files(a), _files(b)
+    for rel in sorted(files_a ^ files_b):
+        found.append(f"{label}: {rel} written by only one tree")
+    for rel in sorted(files_a & files_b):
+        if not filecmp.cmp(a / rel, b / rel, shallow=False):
+            found.append(f"{label}: {rel} differs")
+    return found
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    roots = [Path(r).resolve() for r in argv]
+    srcs = [r / "src" for r in roots]
+    for src in srcs:
+        if not (src / "cefsim" / "__init__.py").is_file():
+            print(f"no cefsim package under {src}", file=sys.stderr)
+            return 2
+    tmp = Path(tempfile.mkdtemp(prefix="cefsim-compare-"))
+    sides = ("parent", "change")
+    plans = [commands(src, tmp / side / "configs") for src, side in zip(srcs, sides)]
+    found = []
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for label in plans[0]:
+            outs = [tmp / side / "out" / label for side in sides]
+            jobs = [pool.submit(run, src, *plan[label], out)
+                    for src, plan, out in zip(srcs, plans, outs)]
+            (code_a, err_a), (code_b, err_b) = (j.result() for j in jobs)
+            diff = differences(label, *outs, code_a, code_b)
+            print(f"{label}: exit {code_a}/{code_b}, "
+                  f"{'identical' if not diff else f'{len(diff)} difference(s)'}",
+                  flush=True)
+            for line in diff:
+                print("  " + line)
+            if code_a != code_b:
+                for side, err in zip(sides, (err_a, err_b)):
+                    print(f"  {side} stderr: {err.strip()[-500:]}")
+            found += diff
+    if found:
+        print(f"{len(found)} difference(s); outputs kept in {tmp}")
+        return 1
+    shutil.rmtree(tmp)
+    print(f"all {len(plans[0])} commands identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
