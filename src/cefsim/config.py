@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -17,10 +17,6 @@ from ._fields import is_real
 from .fractional import SolverConfig
 from .game import EipConfig, FederationGame, MixedStrategyProfile, TaskSpec
 
-EIP_FIELDS = ("index", "num_clouds", "max_workers", "fixed_cost",
-              "calibration_ratio", "cpu_cost", "capacity")
-TASK_FIELDS = ("n", "k", "r0", "r1", "r2", "cycles", "rate")
-SOLVER_FIELDS = ("alpha", "horizon", "steps", "corrector_iterations", "memory_truncation")
 TOP_FIELDS = ("eips", "tasks", "solver", "gamma", "initial_profile", "flags")
 
 
@@ -53,11 +49,11 @@ class ScenarioConfig:
         return MixedStrategyProfile([np.asarray(b) for b in self.initial_profile])
 
     def to_dict(self) -> dict:
-        # fixed field order for reproducible hashing
+        # fixed field order, each record's in declaration order
         return {
-            "eips": [{f: getattr(e, f) for f in EIP_FIELDS} for e in self.eips],
-            "tasks": [{f: getattr(t, f) for f in TASK_FIELDS} for t in self.tasks],
-            "solver": {f: getattr(self.solver, f) for f in SOLVER_FIELDS},
+            "eips": [asdict(e) for e in self.eips],
+            "tasks": [asdict(t) for t in self.tasks],
+            "solver": asdict(self.solver),
             "gamma": self.gamma,
             "initial_profile": (None if self.initial_profile is None
                                 else [list(b) for b in self.initial_profile]),
@@ -76,25 +72,6 @@ def emit_config(config: ScenarioConfig, path) -> None:
     Path(path).write_text(json.dumps(config.to_dict(), indent=2) + "\n")
 
 
-def _check_fields(raw: dict, fields, path: str, problems: list[str],
-                  optional=()) -> bool:
-    ok = True
-    for f in fields:
-        if f not in raw and f not in optional:
-            problems.append(f"{path}.{f}: missing")
-            ok = False
-    for f in raw:
-        if f not in fields:
-            problems.append(f"{path}.{f}: unknown field")
-            ok = False
-    return ok
-
-
-def _with_field_path(path: str, err: str, fields) -> str:
-    first = err.split(" ")[0]
-    return f"{path}.{first}: {err}" if first in fields else f"{path}: {err}"
-
-
 def _is_json(value, kind: type, path: str, problems: list[str]) -> bool:
     """Whether `value` has JSON type `kind` (list or dict); else a problem."""
     if isinstance(value, kind):
@@ -103,40 +80,46 @@ def _is_json(value, kind: type, path: str, problems: list[str]) -> bool:
     return False
 
 
+def _record(raw, cls, path: str, problems: list[str]):
+    """The record of class `cls` that the JSON object `raw` declares, or
+    None once its problems, prefixed with `path`, are added to `problems`.
+    """
+    if not _is_json(raw, dict, path, problems):
+        return None
+    names = [f.name for f in fields(cls)]
+    errs = [f"{path}.{f}: missing" for f in names
+            if f not in raw and f not in cls.json_optional]
+    errs += [f"{path}.{f}: unknown field" for f in raw if f not in names]
+    if not errs:
+        errs = [f"{path}.{f}: {msg}" if f else f"{path}: {msg}"
+                for f, msg in cls.validation_errors(raw)]
+    problems.extend(errs)
+    return None if errs else cls(**raw)
+
+
 def parse_config_dict(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be an object"])
     problems = [f"{key}: unknown field" for key in doc if key not in TOP_FIELDS]
 
     parsed = {}
-    for key, cls, names, noun in (("eips", EipConfig, EIP_FIELDS, "provider"),
-                                  ("tasks", TaskSpec, TASK_FIELDS, "task type")):
+    for key, cls, noun in (("eips", EipConfig, "provider"), ("tasks", TaskSpec, "task type")):
         parsed[key] = []
         if not doc.get(key):
             problems.append(f"{key}: need at least one {noun}")
         elif _is_json(doc[key], list, key, problems):
-            for idx, raw in enumerate(doc[key]):
-                path = f"{key}[{idx}]"
-                if _is_json(raw, dict, path, problems) and _check_fields(raw, names, path, problems):
-                    errs = cls.validation_errors(raw)
-                    problems.extend(_with_field_path(path, e, names) for e in errs)
-                    if not errs:
-                        parsed[key].append(cls(**raw))
+            records = [_record(raw, cls, f"{key}[{i}]", problems)
+                       for i, raw in enumerate(doc[key])]
+            parsed[key] = [r for r in records if r is not None]
     eips, tasks = parsed["eips"], parsed["tasks"]
     if tasks and sum(t.rate for t in tasks) <= 0:
         problems.append("tasks: arrival rates must not all be zero")
 
     solver = None
-    raw = doc.get("solver")
-    if raw is None:
+    if doc.get("solver") is None:
         problems.append("solver: missing")
-    elif _is_json(raw, dict, "solver", problems) and _check_fields(
-            raw, SOLVER_FIELDS, "solver", problems,
-            optional=("corrector_iterations", "memory_truncation")):
-        errs = SolverConfig.validation_errors(raw)
-        problems.extend(_with_field_path("solver", e, SOLVER_FIELDS) for e in errs)
-        if not errs:
-            solver = SolverConfig(**raw)
+    else:
+        solver = _record(doc["solver"], SolverConfig, "solver", problems)
 
     gamma = doc.get("gamma")
     if gamma is None:

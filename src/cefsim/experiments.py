@@ -10,11 +10,15 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
+from ._fields import field_types
 from .config import ConfigError, ScenarioConfig
 from .evolution import detect_convergence, simulate
-from .fractional import memory_weight
+from .fractional import SolverConfig, memory_weight
+from .game import EipConfig
 
 SWEEPABLE = ("W1", "E1", "r1", "n", "k", "alpha")
+# sweep names of provider 1's fields
+_ALIASES = {"W1": "capacity", "E1": "num_clouds"}
 
 
 @dataclass(frozen=True)
@@ -45,20 +49,21 @@ class SweepSpec:
             raise ConfigError(problems)
 
     def scenario_at(self, value) -> ScenarioConfig:
-        """The base scenario with the swept parameter set to `value`; W1
-        and E1 are provider 1's capacity and cloud count, r1, n and k
-        apply to every task type, and alpha is the fractional order."""
-        base, p = self.base, self.parameter
-        if p == "alpha":
-            return dataclasses.replace(
-                base, solver=dataclasses.replace(base.solver, alpha=float(value)))
-        if p in ("W1", "E1"):
-            first = dataclasses.replace(
-                base.eips[0], **{"capacity" if p == "W1" else "num_clouds": value})
-            return dataclasses.replace(base, eips=(first,) + base.eips[1:])
-        value = float(value) if p == "r1" else value
-        return dataclasses.replace(
-            base, tasks=tuple(dataclasses.replace(t, **{p: value}) for t in base.tasks))
+        """The base scenario with the swept field set to `value`, coerced to
+        float when declared float: the solver's field, provider 1's (`W1`,
+        `E1`) or every task type's, whichever record declares it."""
+        base = self.base
+        name = _ALIASES.get(self.parameter, self.parameter)
+
+        def put(record):
+            kind, _ = field_types(type(record))[name]
+            return dataclasses.replace(record, **{name: float(value) if kind is float else value})
+
+        if name in field_types(SolverConfig):
+            return dataclasses.replace(base, solver=put(base.solver))
+        if name in field_types(EipConfig):
+            return dataclasses.replace(base, eips=(put(base.eips[0]),) + base.eips[1:])
+        return dataclasses.replace(base, tasks=tuple(map(put, base.tasks)))
 
 
 def _sweep_row(spec: SweepSpec, value) -> dict:

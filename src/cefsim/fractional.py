@@ -13,12 +13,12 @@ sums rather than O(N^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._fields import type_errors
+from ._fields import Problem, Record
 
 
 # ----------------------------------------------------------------------
@@ -54,7 +54,8 @@ def caputo_derivative_estimate(samples: Sequence[float], alpha: float, h: float)
 
     Uses the L1 scheme for 0 < alpha < 1 and, for 1 < alpha < 2, the L1
     scheme of order alpha-1 applied to the centered first derivative.
-    First-order accurate in h.
+    First-order accurate in h.  The history convolution is one real FFT,
+    O(N log N) in the number of samples.
     """
     y = np.asarray(samples, dtype=float)
     if h <= 0:
@@ -71,7 +72,11 @@ def caputo_derivative_estimate(samples: Sequence[float], alpha: float, h: float)
     steps = y.size - 1
     d = np.arange(steps, dtype=float)
     w = (d + 1) ** (1 - alpha) - d ** (1 - alpha)
-    conv = np.convolve(np.diff(y), w)[:steps]
+    # the first `steps` terms of the linear convolution of diff(y) with w,
+    # by one real FFT of a size that does not wrap; a constant input has
+    # an all-zero difference and so an exactly zero estimate
+    size = 2 * steps
+    conv = np.fft.irfft(np.fft.rfft(np.diff(y), size) * np.fft.rfft(w, size), size)[:steps]
     out = np.empty(y.size)
     out[0] = 0.0
     out[1:] = conv * h ** (-alpha) / math.gamma(2 - alpha)
@@ -103,7 +108,7 @@ def mittag_leffler(alpha: float, z: float) -> float:
 # FDE initial value problem solver
 
 @dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Record):
     """Grid, order, and scheme options for one fractional IVP solve."""
 
     alpha: float
@@ -112,32 +117,20 @@ class SolverConfig:
     corrector_iterations: int = 1
     memory_truncation: Optional[int] = None  # window length in steps; None = full
 
-    def __post_init__(self):
-        problems = self.validation_errors(vars(self))
-        if problems:
-            raise ValueError("; ".join(problems))
+    json_optional = ("corrector_iterations", "memory_truncation")
 
-    @classmethod
-    def validation_errors(cls, raw: Mapping) -> list[str]:
-        """Every problem with a mapping of the fields (absent ones take their
-        defaults); the values are checked only once their types are right."""
-        v = {f.name: raw.get(f.name, f.default) for f in fields(cls)}
-        errs = type_errors(v, ints=("steps", "corrector_iterations"), reals=("alpha", "horizon"))
-        if v["memory_truncation"] is not None:
-            errs += type_errors(v, ints=("memory_truncation",))
-        if errs:
-            return errs
+    @staticmethod
+    def range_errors(v: Mapping) -> Iterator[Problem]:
         if not 0 < v["alpha"] < 2:
-            errs.append(f"alpha must be in (0, 2), got {v['alpha']}")
+            yield "alpha", f"alpha must be in (0, 2), got {v['alpha']}"
         if v["horizon"] <= 0:
-            errs.append("horizon must be > 0")
+            yield "horizon", "horizon must be > 0"
         if v["steps"] < 2:
-            errs.append("need at least 2 steps")
+            yield None, "need at least 2 steps"
         if v["corrector_iterations"] < 1:
-            errs.append("corrector_iterations must be >= 1")
+            yield "corrector_iterations", "corrector_iterations must be >= 1"
         if v["memory_truncation"] is not None and v["memory_truncation"] < 1:
-            errs.append("memory_truncation must be >= 1 when given")
-        return errs
+            yield "memory_truncation", "memory_truncation must be >= 1 when given"
 
     @property
     def h(self) -> float:
@@ -237,12 +230,11 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
     memory (lo = FAR_BLOCK * floor(j / FAR_BLOCK)) the far part over
     [0, lo) comes from FFT-convolved dyadic blocks, so the quadrature
     costs O(N log^2 N).  A window (`memory_truncation` < steps) sets
-    lo = j + 1 - window and drops the far part.  `postprocess`, when
-    given, maps each accepted state back into the admissible set before
-    it enters the history, and raises ValueError on a non-finite state,
-    which the solver reports as FdeAbortError; without it the solver
-    checks finiteness itself.  `rhs` is passed rows of the solver's own
-    buffers, which it must not keep.
+    lo = j + 1 - window and drops the far part.  A non-finite corrector
+    output aborts the solve with FdeAbortError.  `postprocess`, when
+    given, then maps each accepted state back into the admissible set
+    before it enters the history.  `rhs` is passed rows of the solver's
+    own buffers, which it must not keep.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     a = config.alpha
@@ -305,18 +297,11 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
             np.add(hist, rhs(xc), acc)
             acc *= c_corr
             xc = np.add(x0, acc, raw[r] if k == last else prev[r])
-        if postprocess is None:
-            if not np.isfinite(xc).all():
-                raise FdeAbortError(j + 1)
-        else:
-            try:
-                xc = postprocess(xc)
-            except ValueError:
-                # the postprocess rejects a non-finite state; that is the
-                # solver's abort
-                if np.isfinite(xc).all():
-                    raise
-                raise FdeAbortError(j + 1) from None
+        # on a state this short, a list costs less than a ufunc reduction
+        if not all(np.isfinite(xc).tolist()):
+            raise FdeAbortError(j + 1)
+        if postprocess is not None:
+            xc = postprocess(xc)
         states[j + 1] = xc
         fhist[j + 1] = rhs(xc)
         if far is not None and (j + 2) % FAR_BLOCK == 0:

@@ -14,17 +14,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._fields import type_errors
+from ._fields import Problem, Record
 
 SIMPLEX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class EipConfig:
+class EipConfig(Record):
     """Population and cost parameters of one edge infrastructure provider."""
 
     index: int
@@ -35,36 +35,22 @@ class EipConfig:
     cpu_cost: float          # c_i: cost per CPU cycle
     capacity: int            # W_i: total worker capacity
 
-    def __post_init__(self):
-        problems = self.validation_errors(vars(self))
-        if problems:
-            raise ValueError("; ".join(problems))
-
-    @classmethod
-    def validation_errors(cls, raw: Mapping) -> list[str]:
-        """Every problem with a mapping of all the fields; the values are
-        checked only once their types are right."""
-        errs = type_errors(raw, ints=("index", "num_clouds", "max_workers", "capacity"),
-                           reals=("fixed_cost", "calibration_ratio", "cpu_cost"))
-        if errs:
-            return errs
-        if raw["num_clouds"] < 1:
-            errs.append("num_clouds must be >= 1")
-        if raw["max_workers"] < 1:
-            errs.append("max_workers must be >= 1")
-        if raw["capacity"] < raw["num_clouds"] * raw["max_workers"]:
-            errs.append(
-                "capacity must cover simultaneous max contribution "
-                f"(capacity={raw['capacity']} < num_clouds*max_workers="
-                f"{raw['num_clouds'] * raw['max_workers']})"
-            )
-        if raw["fixed_cost"] < 0:
-            errs.append("fixed_cost must be >= 0")
-        if raw["cpu_cost"] < 0:
-            errs.append("cpu_cost must be >= 0")
-        if not 0 < raw["calibration_ratio"] <= 1:
-            errs.append("calibration_ratio must be in (0, 1]")
-        return errs
+    @staticmethod
+    def range_errors(v: Mapping) -> Iterator[Problem]:
+        if v["num_clouds"] < 1:
+            yield "num_clouds", "num_clouds must be >= 1"
+        if v["max_workers"] < 1:
+            yield "max_workers", "max_workers must be >= 1"
+        if v["capacity"] < v["num_clouds"] * v["max_workers"]:
+            yield ("capacity", "capacity must cover simultaneous max contribution "
+                   f"(capacity={v['capacity']} < num_clouds*max_workers="
+                   f"{v['num_clouds'] * v['max_workers']})")
+        if v["fixed_cost"] < 0:
+            yield "fixed_cost", "fixed_cost must be >= 0"
+        if v["cpu_cost"] < 0:
+            yield "cpu_cost", "cpu_cost must be >= 0"
+        if not 0 < v["calibration_ratio"] <= 1:
+            yield "calibration_ratio", "calibration_ratio must be in (0, 1]"
 
     @property
     def num_strategies(self) -> int:
@@ -72,7 +58,7 @@ class EipConfig:
 
 
 @dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(Record):
     """One coded task type: code configuration, rewards, size, arrival rate."""
 
     n: int            # workers requested
@@ -83,24 +69,13 @@ class TaskSpec:
     cycles: float     # CPU cycles per sub-task batch (D)
     rate: float       # task arrival rate (lambda)
 
-    def __post_init__(self):
-        problems = self.validation_errors(vars(self))
-        if problems:
-            raise ValueError("; ".join(problems))
-
-    @classmethod
-    def validation_errors(cls, raw: Mapping) -> list[str]:
-        """Every problem with a mapping of all the fields; the values are
-        checked only once their types are right."""
-        errs = type_errors(raw, ints=("n", "k"), reals=("r0", "r1", "r2", "cycles", "rate"))
-        if errs:
-            return errs
-        if not 1 <= raw["k"] <= raw["n"]:
-            errs.append("k must satisfy 1 <= k <= n")
+    @staticmethod
+    def range_errors(v: Mapping) -> Iterator[Problem]:
+        if not 1 <= v["k"] <= v["n"]:
+            yield "k", "k must satisfy 1 <= k <= n"
         for name in ("r0", "r1", "r2", "cycles", "rate"):
-            if raw[name] < 0:
-                errs.append(f"{name} must be >= 0")
-        return errs
+            if v[name] < 0:
+                yield name, f"{name} must be >= 0"
 
 
 class MixedStrategyProfile:

@@ -54,6 +54,75 @@ def test_round_trip(tmp_path):
     assert again.content_hash() == cfg.content_hash()
 
 
+BUNDLED_HASH = "98b3313d91d910a46952ad576d66e34aa6961f272b73b5ccd68acf43222ee672"
+THREE_PROVIDER_HASH = "8b31be7231b94379415a6568203fc05a0d5c325809dcbb130c1acb20037df6df"
+BUNDLED_EMITTED = """\
+{
+  "eips": [
+    {
+      "index": 1,
+      "num_clouds": 100,
+      "max_workers": 4,
+      "fixed_cost": 1800,
+      "calibration_ratio": 1.0,
+      "cpu_cost": 1e-05,
+      "capacity": 500
+    },
+    {
+      "index": 2,
+      "num_clouds": 120,
+      "max_workers": 8,
+      "fixed_cost": 2800,
+      "calibration_ratio": 1.0,
+      "cpu_cost": 1e-05,
+      "capacity": 1100
+    }
+  ],
+  "tasks": [
+    {
+      "n": 6,
+      "k": 4,
+      "r0": 30,
+      "r1": 30,
+      "r2": 10,
+      "cycles": 1000000.0,
+      "rate": 1.0
+    }
+  ],
+  "solver": {
+    "alpha": 1.0,
+    "horizon": 1.0,
+    "steps": 10000,
+    "corrector_iterations": 1,
+    "memory_truncation": null
+  },
+  "gamma": 0.42,
+  "initial_profile": null,
+  "flags": {
+    "utilization_cost_literal": true
+  }
+}
+"""
+
+
+def test_hash_and_emitted_bytes_pinned(tmp_path, doc):
+    # every output carries config_hash, so the canonical form of a config
+    # (field names, order and values) must not drift
+    cfg = parse_config(BUNDLED)
+    assert cfg.content_hash() == BUNDLED_HASH
+    emit_config(cfg, tmp_path / "echo.json")
+    assert (tmp_path / "echo.json").read_text() == BUNDLED_EMITTED
+    doc["eips"].append({"index": 3, "num_clouds": 110, "max_workers": 7,
+                        "fixed_cost": 2100.0, "calibration_ratio": 0.9,
+                        "cpu_cost": 2e-5, "capacity": 1200})
+    doc["tasks"].append({"n": 9, "k": 5, "r0": 25.5, "r1": 30, "r2": 0,
+                         "cycles": 2e6, "rate": 0.5})
+    doc["solver"].update(alpha=0.8, memory_truncation=250, corrector_iterations=2)
+    doc["initial_profile"] = [[0.2] * 5, [0.125] * 8 + [0.0], [0.5, 0.5] + [0.0] * 6]
+    doc["flags"]["utilization_cost_literal"] = False
+    assert parse_config_dict(doc).content_hash() == THREE_PROVIDER_HASH
+
+
 def test_hash_changes_with_content(doc):
     base = parse_config_dict(doc).content_hash()
     doc["gamma"] = 0.9

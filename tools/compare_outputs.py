@@ -12,11 +12,15 @@ imports cefsim from that tree's `src/` and nowhere else:
 - `simulate` of the bundled scenario at alpha 0.5 with 1500 steps (a
   numerical blow-up that exits 3) and at alpha 1.3 with 3000 steps;
 - `sweep --param r1 --grid 10:60:10` of the bundled scenario;
-- `kernel --alphas 0.65,0.8,1.2`.
+- `kernel --alphas 0.65,0.8,1.2`;
+- six invalid inputs: `simulate` of the bundled scenario with a field
+  missing, an unknown field, a mistyped field, out-of-range fields and a
+  bad `initial_profile`, and a `W1` sweep whose grid breaks provider 1.
 
 The two trees' runs of one command go side by side, one process each.
 Every file a command writes and its exit code must be the same for both
-trees.  Exits 0 when all are identical and 1 otherwise, after naming
+trees; for the invalid inputs, so must stderr, with each tree's
+directory under the temporary directory replaced by a placeholder.  Exits 0 when all are identical and 1 otherwise, after naming
 each difference; the outputs are then kept in a temporary directory,
 whose path is printed, and removed otherwise.
 """
@@ -56,30 +60,50 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-def _bundled(src: Path, work: Path, name: str, steps: int) -> Path:
-    """The tree's bundled scenario with `steps` solver steps."""
+# edits of the bundled scenario that make it invalid
+INVALID = {
+    "missing-field": lambda doc: doc["eips"][0].pop("capacity"),
+    "unknown-field": lambda doc: doc["tasks"][0].update(typo=1),
+    "mistyped-field": lambda doc: doc["solver"].update(steps="100"),
+    "out-of-range": lambda doc: (doc["eips"][1].update(calibration_ratio=1.5),
+                                 doc["tasks"][0].update(k=9), doc["solver"].update(steps=1)),
+    "bad-initial-profile": lambda doc: doc.update(
+        initial_profile=[[1.0, 0.0, 0.0, 0.0, 0.0], [0.5, 0.5]]),
+}
+
+
+def _bundled(src: Path, work: Path, name: str, edit) -> Path:
+    """The tree's bundled scenario after `edit(doc)`, written to `work`."""
     doc = json.loads((src / "cefsim" / "data" / "canonical_scenario.json").read_text())
-    doc["solver"]["steps"] = steps
+    edit(doc)
     path = work / f"{name}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     return path
 
 
-def commands(src: Path, work: Path) -> dict[str, tuple[list[str], int]]:
-    """label -> (CLI arguments without --out-dir, CEF_THREADS)."""
+def commands(src: Path, work: Path) -> dict[str, tuple[list[str], int, bool]]:
+    """label -> (CLI arguments without --out-dir, CEF_THREADS, whether
+    stderr is compared)."""
     work.mkdir(parents=True)
     cmds = {}
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             inv = workloads.generate(name, seed, src, work)
             cmds[f"{name}-seed{seed}"] = ([inv.command, str(inv.config_path), *inv.args],
-                                           inv.threads)
+                                           inv.threads, False)
     bundled = src / "cefsim" / "data" / "canonical_scenario.json"
     for alpha, steps in (("0.5", 1500), ("1.3", 3000)):
-        cfg = _bundled(src, work, f"bundled-{steps}", steps)
-        cmds[f"simulate-alpha{alpha}"] = (["simulate", str(cfg), "--alpha", alpha], 1)
-    cmds["sweep-r1"] = (["sweep", str(bundled), "--param", "r1", "--grid", "10:60:10"], 1)
-    cmds["kernel"] = (["kernel", "--alphas", "0.65,0.8,1.2"], 1)
+        cfg = _bundled(src, work, f"bundled-{steps}",
+                       lambda doc: doc["solver"].update(steps=steps))
+        cmds[f"simulate-alpha{alpha}"] = (["simulate", str(cfg), "--alpha", alpha], 1, False)
+    cmds["sweep-r1"] = (["sweep", str(bundled), "--param", "r1", "--grid", "10:60:10"],
+                        1, False)
+    cmds["kernel"] = (["kernel", "--alphas", "0.65,0.8,1.2"], 1, False)
+    for name, edit in INVALID.items():
+        cmds[f"invalid-{name}"] = (["simulate", str(_bundled(src, work, name, edit))], 1, True)
+    # E1 * L1 = 400: a capacity of 300 breaks provider 1
+    cmds["invalid-sweep-grid"] = (["sweep", str(bundled), "--param", "W1",
+                                   "--grid", "300:400:100"], 1, True)
     return cmds
 
 
@@ -98,10 +122,15 @@ def _files(root: Path) -> set[Path]:
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
 
-def differences(label: str, a: Path, b: Path, code_a: int, code_b: int) -> list[str]:
+def differences(label: str, a: Path, b: Path, code_a: int, code_b: int,
+                errs: tuple[str, str] | None) -> list[str]:
+    """What differs between the two trees' runs of one command; `errs`,
+    when given, is the stderr of each, with its tree's directory replaced."""
     found = []
     if code_a != code_b:
         found.append(f"{label}: exit code {code_a} != {code_b}")
+    if errs is not None and errs[0] != errs[1]:
+        found.append(f"{label}: stderr differs")
     files_a, files_b = _files(a), _files(b)
     for rel in sorted(files_a ^ files_b):
         found.append(f"{label}: {rel} written by only one tree")
@@ -129,16 +158,21 @@ def main(argv=None) -> int:
     with ThreadPoolExecutor(max_workers=2) as pool:
         for label in plans[0]:
             outs = [tmp / side / "out" / label for side in sides]
-            jobs = [pool.submit(run, src, *plan[label], out)
+            *_, check_stderr = plans[0][label]
+            jobs = [pool.submit(run, src, *plan[label][:2], out)
                     for src, plan, out in zip(srcs, plans, outs)]
             (code_a, err_a), (code_b, err_b) = (j.result() for j in jobs)
-            diff = differences(label, *outs, code_a, code_b)
+            errs = None
+            if check_stderr:
+                errs = tuple(err.replace(str(tmp / side), "<tree>")
+                             for err, side in zip((err_a, err_b), sides))
+            diff = differences(label, *outs, code_a, code_b, errs)
             print(f"{label}: exit {code_a}/{code_b}, "
                   f"{'identical' if not diff else f'{len(diff)} difference(s)'}",
                   flush=True)
             for line in diff:
                 print("  " + line)
-            if code_a != code_b:
+            if diff:
                 for side, err in zip(sides, (err_a, err_b)):
                     print(f"  {side} stderr: {err.strip()[-500:]}")
             found += diff
