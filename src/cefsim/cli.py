@@ -30,7 +30,7 @@ EXIT_ERROR = 1
 EXIT_NUMERICAL = 2
 EXIT_UNCONVERGED = 3
 
-# the largest grid in use, the kernel default, has 500 values
+# the largest grid in use, the kernel default, has 500 values; also caps field starts
 MAX_GRID_VALUES = 100_000
 # rows of trajectory.csv formatted at a time
 CSV_CHUNK = 1000
@@ -177,6 +177,10 @@ def cmd_field(args) -> int:
     config = parse_config(args.config)
     solver = _solver(config, args.alpha)
     values = _parse_grid(args.grid_spec)
+    starts = len(values) ** len(config.eips)
+    if starts > MAX_GRID_VALUES:
+        raise ValueError(f"field must have at most {MAX_GRID_VALUES} starts, got {starts} "
+                         f"({len(values)} grid values for {len(config.eips)} providers)")
     grid = _field_grid(config, values)
     game = config.game()
     polylines = direction_field(game, grid, solver, config.gamma, stride=args.stride)
@@ -262,14 +266,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a non-finite state aborts (exit 2) anyway
+            return args.func(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ERROR
     except FdeAbortError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

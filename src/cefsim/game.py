@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -200,25 +200,6 @@ def _amortized_cost(scale: float, w: float) -> float:
     return scale * (1.0 - 1.0 / (1.0 - w))
 
 
-def _utilization_cost(xi: np.ndarray, js: np.ndarray, clouds: int, capacity: int,
-                      scale: float, divisor: Optional[int]) -> Optional[np.ndarray]:
-    """Per-strategy utilization cost of a provider with share block xi, as
-    a fresh array; None when the provider contributes nothing (it then
-    bears no utilization cost).  `divisor` is the cloud count, or None for
-    the literal net-utility formula.
-    """
-    s = float(js.dot(xi))
-    if s == 0.0:
-        return None
-    # (js * xi / s) * f / E, rounded step by step in that order
-    cost = js * xi
-    cost /= s
-    cost *= _amortized_cost(scale, _utilization(s, clouds, capacity))
-    if divisor:
-        cost /= divisor
-    return cost
-
-
 class FederationGame:
     """Expected payoffs and replicator dynamics of the federation game.
 
@@ -227,10 +208,10 @@ class FederationGame:
     the provider's cloud count) and the verbatim net-utility formula,
     which omits that division.
 
-    The payoff tables and the per-provider contraction plan over them are
-    built once, on the first payoff or field evaluation.  `rhs_flat` is
-    the one replicator field; `payoff_vector` and `average_payoff` take
-    their payoffs from the same loop over the plan.
+    Every strategy's payoff, utilization cost included, is computed once
+    per state as one vector laid out like the flat state (`_payoffs`);
+    the field and the payoff readers take slices of it.  The payoff
+    tables and their contraction plan are built on the first evaluation.
     """
 
     def __init__(self, eips: Sequence[EipConfig], tasks: Sequence[TaskSpec],
@@ -250,12 +231,15 @@ class FederationGame:
         self._task_weights = tuple(t.rate / total_rate for t in self.tasks)
         offsets = list(itertools.accumulate(self.block_sizes, initial=0))
         self._slices = tuple(slice(a, b) for a, b in zip(offsets, offsets[1:]))
-        # per provider, the arguments of _utilization_cost after the shares
+        # utilization cost terms: per strategy j, provider and E (None if literal);
+        # per provider its slice, levels j, clouds, capacity and -C * rho
+        self._js = np.concatenate([np.arange(s, dtype=float) for s in self.block_sizes])
+        self._owner = np.repeat(np.arange(len(self.eips)), self.block_sizes)
+        self._divisor = None if literal_utilization_cost else np.array(
+            [float(e.num_clouds) for e in self.eips])[self._owner]
         self._cost_terms = tuple(
-            (np.arange(e.num_strategies, dtype=float), e.num_clouds, e.capacity,
-             -e.fixed_cost * e.calibration_ratio,
-             None if literal_utilization_cost else e.num_clouds)
-            for e in self.eips)
+            (sl, self._js[sl], e.num_clouds, e.capacity, -e.fixed_cost * e.calibration_ratio)
+            for sl, e in zip(self._slices, self.eips))
         self._plan = None   # lazy: per-provider contraction plan, see _compile
         self._terms = {}    # task -> {placement: per-provider expected terms}
 
@@ -263,13 +247,32 @@ class FederationGame:
     # utilization and its cost
 
     def utilization(self, i: int, x: MixedStrategyProfile) -> float:
-        js, clouds, capacity, _, _ = self._cost_terms[i]
+        _, js, clouds, capacity, _ = self._cost_terms[i]
         return _utilization(float(js.dot(x.blocks[i])), clouds, capacity)
 
     def utilization_cost(self, i: int, j: int, x: MixedStrategyProfile) -> float:
         """Utilization cost of strategy j of provider i at profile x."""
-        cost = _utilization_cost(x.blocks[i], *self._cost_terms[i])
-        return 0.0 if cost is None else float(cost[j])
+        return float(self._costs(x.flat)[self._slices[i]][j])
+
+    def _costs(self, flat: np.ndarray) -> np.ndarray:
+        """Utilization cost (j x_ij / s_i) f(w_i) [/ E_i off the literal branch]
+        of every strategy, laid out like `flat`; +0 where s_i = sum_j j x_ij = 0."""
+        s, f, idle = [], [], []
+        for sl, js, clouds, capacity, scale in self._cost_terms:
+            si = float(js.dot(flat[sl]))
+            if si == 0.0:
+                idle.append(sl)
+            s.append(si or 1.0)
+            f.append(_amortized_cost(scale, _utilization(si, clouds, capacity)))
+        # rounded step by step in this order
+        cost = self._js * flat
+        cost /= np.array(s)[self._owner]
+        cost *= np.array(f)[self._owner]
+        if self._divisor is not None:
+            cost /= self._divisor
+        for sl in idle:
+            cost[sl] = 0.0
+        return cost
 
     # ------------------------------------------------------------------
     # payoffs
@@ -333,9 +336,7 @@ class FederationGame:
         view, never a contiguous copy, so every sum runs in the same order
         and the field keeps its bits.  The first contraction's operand is
         static and is built here.  A provider without opponents has its
-        table as its payoff.  Each provider's entry also carries its index,
-        its slice of the flat state and its `_utilization_cost` terms, so
-        the field loop looks nothing else up.
+        table as its payoff.
         """
         shape = self.block_sizes
         tables = [np.zeros(shape) for _ in self.eips]
@@ -343,7 +344,7 @@ class FederationGame:
             for table, value in zip(tables, self._base_payoffs(levels)):
                 table[levels] = value
         plan = []
-        for i, table in enumerate(tables):
+        for i, (table, sl) in enumerate(zip(tables, self._slices)):
             steps, dims = [], list(shape)
             for other in reversed(range(len(shape))):
                 if other == i:
@@ -352,23 +353,34 @@ class FederationGame:
                 flat2d = (math.prod(dims[k] for k in kept), dims[other])
                 steps.append((other, tuple(dims), kept + [other], flat2d))
                 dims = [dims[k] for k in kept]
-            fixed = (i, self._slices[i]) + self._cost_terms[i]
             if not steps:
-                plan.append((table, None, ()) + fixed)
+                plan.append((table, None, (), sl))
                 continue
             first, _, axes, flat2d = steps[0]
-            plan.append((table.transpose(axes).reshape(flat2d), first, tuple(steps[1:]))
-                        + fixed)
+            plan.append((table.transpose(axes).reshape(flat2d), first, tuple(steps[1:]), sl))
         self._plan = plan
         return plan
 
+    def _payoffs(self, flat: np.ndarray) -> np.ndarray:
+        """Expected payoff of every strategy against the opponents' mixed
+        strategies, less its utilization cost, laid out like `flat`."""
+        plan = self._plan or self._compile()
+        blocks = [flat[sl] for sl in self._slices]
+        u = np.empty(flat.size)
+        for operand, first, rest, sl in plan:
+            if first is None:
+                u[sl] = operand
+                continue
+            for other, dims, axes, flat2d in rest:
+                operand = operand.dot(blocks[first]).reshape(dims).transpose(axes).reshape(flat2d)
+                first = other
+            operand.dot(blocks[first], out=u[sl])
+        u -= self._costs(flat)
+        return u
+
     def payoff_vector(self, i: int, x: MixedStrategyProfile) -> np.ndarray:
-        """Expected payoff of each strategy of provider i against the
-        opponents' mixed strategies.
-        """
-        payoffs = []
-        self._field(x.flat, 1.0, payoffs)
-        return payoffs[i]
+        """Payoff of each strategy of provider i at x, its utilization cost included."""
+        return self._payoffs(x.flat)[self._slices[i]]
 
     def average_payoff(self, i: int, x: MixedStrategyProfile) -> float:
         return float(x.blocks[i] @ self.payoff_vector(i, x))
@@ -381,30 +393,11 @@ class FederationGame:
         on the flat state vector (laid out as `MixedStrategyProfile.flat`),
         without profile validation.
         """
-        return self._field(flat, gamma)
-
-    def _field(self, flat: np.ndarray, gamma: float,
-               payoffs: Optional[list] = None) -> np.ndarray:
-        """The replicator field at `flat`; when `payoffs` is a list, each
-        provider's expected payoff vector is appended to it."""
-        blocks = [flat[sl] for sl in self._slices]
-        # gamma * xi * (u - ubar), rounded step by step in that order
+        u = self._payoffs(flat)
+        for sl in self._slices:
+            ui = u[sl]
+            ui -= flat[sl].dot(ui)
+        # gamma * x * (u - ubar), rounded step by step in that order
         out = flat * gamma
-        plan = self._plan or self._compile()
-        for operand, first, rest, i, sl, js, clouds, capacity, scale, divisor in plan:
-            if first is None:
-                u = operand.copy()
-            else:
-                u = operand.dot(blocks[first])
-                for other, dims, axes, flat2d in rest:
-                    u = u.reshape(dims).transpose(axes).reshape(flat2d).dot(blocks[other])
-            xi = blocks[i]
-            cost = _utilization_cost(xi, js, clouds, capacity, scale, divisor)
-            if cost is not None:
-                u -= cost
-            if payoffs is not None:
-                payoffs.append(u.copy())
-            u -= xi.dot(u)
-            rate = out[sl]
-            rate *= u
+        out *= u
         return out

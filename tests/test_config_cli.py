@@ -396,10 +396,50 @@ def test_cli_simulate_aborts_at_saturation(tmp_path, doc, capsys):
     assert main(["simulate", str(p), "--out-dir", str(tmp_path / "u")]) in (0, 3)
     doc["initial_profile"] = [[0, 0, 0, 0, 1], [1 / 9] * 9]
     p.write_text(json.dumps(doc))
-    with np.errstate(invalid="ignore"):
-        code = main(["simulate", str(p), "--out-dir", str(tmp_path / "s")])
+    capsys.readouterr()
+    code = main(["simulate", str(p), "--out-dir", str(tmp_path / "s")])
     assert code == 2
-    assert "numerical abort" in capsys.readouterr().err
+    # no numpy warning precedes the abort message
+    assert capsys.readouterr().err == "numerical abort: non-finite state at step 1\n"
+
+
+@pytest.mark.parametrize("section,field,value", [
+    ("gamma", None, 1e300), ("tasks", "r0", 1e300), ("eips", "cpu_cost", 1e300),
+    ("eips", "fixed_cost", 1e300), ("solver", "horizon", 1e300),
+    ("tasks", "cycles", 1e308),
+])
+def test_cli_overflow_aborts_with_one_line(tmp_path, doc, capsys, section, field, value):
+    if field is None:
+        doc[section] = value
+    else:
+        (doc[section] if section == "solver" else doc[section][0])[field] = value
+    doc["solver"]["steps"] = 200
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert main(["simulate", str(p), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "numerical abort: non-finite state at step 1\n"
+
+
+def test_cli_unallocatable_run_is_error(tmp_path, doc, capsys):
+    # 10^18 steps: the first allocation is refused at once
+    doc["solver"]["steps"] = 10 ** 18
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert main(["simulate", str(p), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
+
+
+def test_cli_field_start_count_capped(tmp_path, fast_config, capsys):
+    # 1001 values per provider pass the grid cap; 1001 ** 2 starts do not,
+    # and none is built
+    out = tmp_path / "f"
+    assert main(["field", str(fast_config), "--grid-spec", "0:1:0.001",
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: field must have at most 100000 starts, got 1002001 "
+                   "(1001 grid values for 2 providers)\n")
+    assert not out.exists()
 
 
 def test_cli_sweep_precheck_names_grid_value(tmp_path, fast_config, capsys):

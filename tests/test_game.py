@@ -305,33 +305,54 @@ def _seed_tables(game):
     return tables
 
 
-def _seed_rhs_flat(game, tables, flat, gamma):
+def _seed_blocks(game, flat):
     sizes = [e.num_strategies for e in game.eips]
     blocks, pos = [], 0
     for s in sizes:
         blocks.append(flat[pos:pos + s])
         pos += s
-    out = np.empty_like(flat)
-    pos = 0
+    return blocks
+
+
+def _seed_cost(game, e, xi):
+    """Utilization cost of each strategy of provider `e`, or None when it
+    contributes nothing."""
+    js = np.arange(e.num_strategies, dtype=float)
+    s = float(js @ xi)
+    if s == 0.0:
+        return None
+    w = e.num_clouds * s / e.capacity
+    f = -e.fixed_cost * e.calibration_ratio * (1.0 - 1.0 / (1.0 - w))
+    cost = (js * xi / s) * f
+    if not game.literal_utilization_cost:
+        cost = cost / e.num_clouds
+    return cost
+
+
+def _seed_payoffs(game, tables, flat):
+    """Each provider's payoff vector, utilization cost included."""
+    blocks = _seed_blocks(game, flat)
+    payoffs = []
     for i, e in enumerate(game.eips):
         u = tables[i]
         for other in range(len(game.eips) - 1, -1, -1):
             if other != i:
                 u = np.tensordot(u, blocks[other], axes=(other, 0))
         u = np.asarray(u, dtype=float).reshape(e.num_strategies)
-        xi = blocks[i]
-        js = np.arange(e.num_strategies, dtype=float)
-        s = float(js @ xi)
-        if s != 0.0:
-            w = e.num_clouds * s / e.capacity
-            f = -e.fixed_cost * e.calibration_ratio * (1.0 - 1.0 / (1.0 - w))
-            cost = (js * xi / s) * f
-            if not game.literal_utilization_cost:
-                cost = cost / e.num_clouds
+        cost = _seed_cost(game, e, blocks[i])
+        if cost is not None:
             u = u - cost
+        payoffs.append(u)
+    return payoffs
+
+
+def _seed_rhs_flat(game, tables, flat, gamma):
+    out = np.empty_like(flat)
+    pos = 0
+    for xi, u in zip(_seed_blocks(game, flat), _seed_payoffs(game, tables, flat)):
         ubar = float(xi @ u)
-        out[pos:pos + e.num_strategies] = gamma * xi * (u - ubar)
-        pos += e.num_strategies
+        out[pos:pos + xi.size] = gamma * xi * (u - ubar)
+        pos += xi.size
     return out
 
 
@@ -401,11 +422,34 @@ def test_compiled_field_bit_identical_to_tensordot_form(name):
         gamma = (0.42, 1.0, 3.7)[m % 3]
         assert _same_bits(game.rhs_flat(flat, gamma),
                           _seed_rhs_flat(game, tables, flat, gamma)), (name, m)
-    # the profile-level payoffs evaluate the same plan (report.json utilities)
-    for flat in states[:100:5] + states[1:100:5] + states[2:100:5]:
+
+
+@pytest.mark.parametrize("name", sorted(BIT_GAMES))
+def test_payoffs_and_costs_bit_identical_to_oracle(name):
+    # every strategy's payoff and utilization cost, the sign of a zero
+    # included; an idle provider's costs are +0
+    eips, tasks, literal = BIT_GAMES[name]
+    game = FederationGame(eips, tasks, literal_utilization_cost=literal)
+    tables = _seed_tables(game)
+    sizes = [e.num_strategies for e in eips]
+    probes = _probe_states(sizes, 200, seed=len(name))
+    # off the simplex, every provider idle with a negative share: s_i = 0
+    probes.append(np.concatenate([np.r_[0.875, 0.25, -0.125, np.zeros(s - 3)]
+                                  for s in sizes]))
+    idle = 0
+    for m, flat in enumerate(probes):
+        payoffs = _seed_payoffs(game, tables, flat)
+        costs = [_seed_cost(game, e, xi) for e, xi in zip(eips, _seed_blocks(game, flat))]
+        idle += sum(c is None for c in costs)
+        costs = [np.zeros(s) if c is None else c for s, c in zip(sizes, costs)]
+        # the field's own vectors, off-simplex predictor-like states included
+        assert _same_bits(game._payoffs(flat), np.concatenate(payoffs)), (name, m)
+        assert _same_bits(game._costs(flat), np.concatenate(costs)), (name, m)
+        if m % 5 == 4 or m == len(probes) - 1:    # off the simplex: no profile
+            continue
         x = MixedStrategyProfile.from_flat(sizes, flat)
-        phi = _seed_rhs_flat(game, tables, flat, 1.0)
         for i in range(len(eips)):
-            u = game.payoff_vector(i, x)
-            xi = x.blocks[i]
-            assert _same_bits(phi[sum(sizes[:i]):sum(sizes[:i + 1])], 1.0 * xi * (u - float(xi @ u)))
+            assert _same_bits(game.payoff_vector(i, x), payoffs[i]), (name, m, i)
+            for j in range(sizes[i]):
+                assert _same_bits(game.utilization_cost(i, j, x), costs[i][j]), (name, m, i, j)
+    assert idle > 0

@@ -13,6 +13,9 @@ imports cefsim from that tree's `src/` and nowhere else:
   numerical blow-up that exits 3) and at alpha 1.3 with 3000 steps;
 - `sweep --param r1 --grid 10:60:10` of the bundled scenario;
 - `kernel --alphas 0.65,0.8,1.2`;
+- two numerical aborts (exit 2): `simulate` of the bundled scenario with
+  provider 1 saturated (capacity == num_clouds * max_workers, starting at
+  its all-max share), and at gamma 1e300 with 200 steps;
 - six invalid inputs: `simulate` of the bundled scenario with a field
   missing, an unknown field, a mistyped field, out-of-range fields and a
   bad `initial_profile`, and a `W1` sweep whose grid breaks provider 1.
@@ -72,6 +75,16 @@ INVALID = {
 }
 
 
+# edits of the bundled scenario that make its run abort on a non-finite state
+ABORTS = {
+    "saturation": lambda doc: (
+        doc["eips"][0].update(num_clouds=10, max_workers=4, capacity=40),
+        doc["solver"].update(steps=50),
+        doc.update(initial_profile=[[0, 0, 0, 0, 1], [1 / 9] * 9])),
+    "gamma-1e300": lambda doc: (doc.update(gamma=1e300), doc["solver"].update(steps=200)),
+}
+
+
 def _bundled(src: Path, work: Path, name: str, edit) -> Path:
     """The tree's bundled scenario after `edit(doc)`, written to `work`."""
     doc = json.loads((src / "cefsim" / "data" / "canonical_scenario.json").read_text())
@@ -99,6 +112,8 @@ def commands(src: Path, work: Path) -> dict[str, tuple[list[str], int, bool]]:
     cmds["sweep-r1"] = (["sweep", str(bundled), "--param", "r1", "--grid", "10:60:10"],
                         1, False)
     cmds["kernel"] = (["kernel", "--alphas", "0.65,0.8,1.2"], 1, False)
+    for name, edit in ABORTS.items():
+        cmds[f"abort-{name}"] = (["simulate", str(_bundled(src, work, name, edit))], 1, False)
     for name, edit in INVALID.items():
         cmds[f"invalid-{name}"] = (["simulate", str(_bundled(src, work, name, edit))], 1, True)
     # E1 * L1 = 400: a capacity of 300 breaks provider 1
