@@ -22,7 +22,7 @@ from .config import ConfigError, ScenarioConfig, parse_config
 from .evolution import detect_convergence, direction_field, simulate
 from .experiments import SWEEPABLE, SweepSpec, kernel_study, run_sweep
 from .fractional import FdeAbortError
-from .game import FederationGame, MixedStrategyProfile
+from .game import MixedStrategyProfile
 from . import svgplot
 
 EXIT_OK = 0
@@ -99,25 +99,20 @@ def _parse_grid(text: str) -> list[float]:
     return [round(lo + k * step, 12) for k in range(math.floor(span) + 1)]
 
 
-def _last_columns(game: FederationGame) -> list[int]:
-    """Flat-state column of each provider's last strategy (its largest
-    contribution)."""
-    return [c - 1 for c in itertools.accumulate(game.block_sizes)]
-
-
 def cmd_simulate(args) -> int:
     config = parse_config(args.config)
     solver = _solver(config, args.alpha)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    traj = simulate(config.game(), config.initial_mixed_profile(), solver, config.gamma)
+    game = config.game()
+    traj = simulate(game, config.initial_mixed_profile(), solver, config.gamma)
     report = detect_convergence(traj)
     meta = _metadata(config, solver.alpha)
 
-    header = ["t"] + [f"x_{i + 1}_{j}" for i, e in enumerate(config.eips)
-                      for j in range(e.num_strategies)]
-    _write_float_csv(out / "trajectory.csv", _meta_comment(meta), header,
+    # x_i_j: the share of provider i's strategy j, one per flat-state column
+    names = [f"x_{i + 1}_{j}" for i, s in enumerate(game.block_sizes) for j in range(s)]
+    _write_float_csv(out / "trajectory.csv", _meta_comment(meta), ["t"] + names,
                      traj.times, traj.states)
 
     doc = {
@@ -130,8 +125,7 @@ def cmd_simulate(args) -> int:
     }
     (out / "report.json").write_text(json.dumps(doc, indent=2) + "\n")
 
-    series = {f"x_{i + 1}_{e.max_workers}": traj.states[:, col].tolist()
-              for i, (e, col) in enumerate(zip(config.eips, _last_columns(traj.game)))}
+    series = {names[sl.stop - 1]: traj.states[:, sl.stop - 1].tolist() for sl in game.slices}
     svgplot.line_plot(out / "trajectory.svg", traj.times.tolist(), series,
                       title=f"last-strategy shares, alpha={solver.alpha}",
                       xlabel="t", ylabel="share")
@@ -152,7 +146,7 @@ def cmd_sweep(args) -> int:
                (row.values() for row in rows))
     svgplot.line_plot(out / "sweep.svg", [float(r[args.param]) for r in rows],
                       {c: [float(r[c]) for r in rows]
-                       for c in ("x1_last", "x2_last")},
+                       for c in ("x1_last", "x2_last")[:len(config.eips)]},
                       title=f"sweep over {args.param}", xlabel=args.param,
                       ylabel="equilibrium share")
     return EXIT_OK
@@ -195,8 +189,7 @@ def cmd_field(args) -> int:
     (out / "field.json").write_text(json.dumps(doc, indent=2) + "\n")
     # project onto the first two providers' last-strategy shares for the
     # quick-look; a lone provider is plotted against itself
-    last = _last_columns(game)
-    idx1, idx2 = last[0], last[min(1, len(last) - 1)]
+    idx1, idx2 = (sl.stop - 1 for sl in (game.slices * 2)[:2])
     svgplot.polyline_plot(out / "field.svg",
                           [[(state[idx1], state[idx2]) for state in line]
                            for line in polylines],

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fractional import FdeSolution, SolverConfig, solve_fde_ivp
-from .game import FederationGame, MixedStrategyProfile
+from .game import FederationGame, MixedStrategyProfile, block_slices
 
 ADJACENCY_THRESHOLD = 1e-4
 NEIGHBORHOOD_THRESHOLD = 0.01
@@ -26,8 +26,9 @@ _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
 
 
-def project_simplex_flat(raw: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
-    """Clamp negatives to zero and renormalize each block to sum one.
+def project_simplex_flat(raw: np.ndarray, slices: Sequence[slice]) -> np.ndarray:
+    """Clamp negatives to zero and renormalize each block (`slices`, as
+    made by `block_slices`) to sum one.
 
     Identity on valid profiles and idempotent.  Rejects blocks that are
     entirely non-positive (no direction to renormalize toward).
@@ -38,15 +39,13 @@ def project_simplex_flat(raw: np.ndarray, block_sizes: Sequence[int]) -> np.ndar
         raise ValueError("cannot project non-finite vector")
     out = np.maximum(raw, _ZERO)
     total = np.empty(())
-    pos = 0
-    for s in block_sizes:
-        block = out[pos:pos + s]
+    for sl in slices:
+        block = out[sl]
         # block.sum(), the same pairwise reduction
         np.add.reduce(block, 0, None, total)
         if not total:
-            raise ValueError(f"block at offset {pos} is all zero after clamping")
+            raise ValueError(f"block at offset {sl.start} is all zero after clamping")
         block /= total
-        pos += s
     return out
 
 
@@ -86,9 +85,8 @@ def simulate(game: FederationGame, x_init: MixedStrategyProfile,
     """
     if not gamma > 0:
         raise ValueError("adaptation speed gamma must be > 0")
-    sizes = game.block_sizes
     sol = solve_fde_ivp(lambda y: game.rhs_flat(y, gamma), x_init.flat, solver,
-                        postprocess=lambda raw: project_simplex_flat(raw, sizes))
+                        postprocess=lambda raw: project_simplex_flat(raw, game.slices))
     return Trajectory(**vars(sol), game=game, gamma=gamma)
 
 
@@ -155,8 +153,7 @@ def estimate_lipschitz(game: FederationGame, gamma: float, sample_count: int = 1
     """
     if sample_count < 2:
         raise ValueError("need at least 2 sample pairs")
-    sizes = game.block_sizes
-    dim = sum(sizes)
+    dim = game.slices[-1].stop
     # Kronecker sequence on sqrt-of-prime irrationals, folded onto the simplices
     primes = []
     candidate = 2
@@ -168,8 +165,8 @@ def estimate_lipschitz(game: FederationGame, gamma: float, sample_count: int = 1
     k_hat = 0.0
     for m in range(1, sample_count + 1):
         u = (m * alphas) % 1.0 + 1e-3
-        x = project_simplex_flat(u[:dim], sizes)
-        y = project_simplex_flat(u[dim:], sizes)
+        x = project_simplex_flat(u[:dim], game.slices)
+        y = project_simplex_flat(u[dim:], game.slices)
         dxy = float(np.sum(np.abs(x - y)))
         if dxy < 1e-12:
             continue
@@ -202,21 +199,17 @@ def _perturbed_starts(x_star: MixedStrategyProfile, delta: float) -> list[MixedS
     other strategy in turn.
     """
     starts = []
-    sizes = x_star.block_sizes
     flat = x_star.flat
-    pos = 0
-    for s in sizes:
-        block = flat[pos:pos + s]
-        src = int(np.argmax(block))
-        shift = min(delta / 2.0, float(block[src]))
-        for dst in range(s):
+    for sl in block_slices(x_star.block_sizes):
+        src = sl.start + int(np.argmax(flat[sl]))
+        shift = min(delta / 2.0, float(flat[src]))
+        for dst in range(sl.start, sl.stop):
             if dst == src:
                 continue
             y = flat.copy()
-            y[pos + src] -= shift
-            y[pos + dst] += shift
-            starts.append(MixedStrategyProfile.from_flat(sizes, y))
-        pos += s
+            y[src] -= shift
+            y[dst] += shift
+            starts.append(MixedStrategyProfile.from_flat(x_star.block_sizes, y))
     return starts
 
 

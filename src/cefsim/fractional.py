@@ -49,35 +49,40 @@ def memory_weight(delta: float, alpha: float) -> float:
 # ----------------------------------------------------------------------
 # derivative estimation
 
-def caputo_derivative_estimate(samples: Sequence[float], alpha: float, h: float) -> np.ndarray:
+def caputo_derivative_estimate(samples: Sequence[float] | np.ndarray, alpha: float,
+                               h: float) -> np.ndarray:
     """Estimate the Caputo derivative of order alpha on a uniform grid.
 
-    Uses the L1 scheme for 0 < alpha < 1 and, for 1 < alpha < 2, the L1
-    scheme of order alpha-1 applied to the centered first derivative.
-    First-order accurate in h.  The history convolution is one real FFT,
-    O(N log N) in the number of samples.
+    `samples` is one signal or a (samples, columns) array of signals, one
+    per column, each estimated as if alone.  Uses the L1 scheme for
+    0 < alpha < 1 and, for 1 < alpha < 2, the L1 scheme of order alpha-1
+    applied to the centered first derivative.  First-order accurate in h.
+    The history convolution is one real FFT along the samples, O(N log N)
+    in their number.
     """
-    y = np.asarray(samples, dtype=float)
+    y = np.atleast_1d(np.asarray(samples, dtype=float))
     if h <= 0:
         raise ValueError("grid spacing h must be > 0")
     if not 0 < alpha < 2:
         raise ValueError(f"alpha must be in (0, 2), got {alpha}")
     n = 1 if alpha <= 1 else 2
-    if y.size < n + 1:
-        raise ValueError(f"need at least {n + 1} samples, got {y.size}")
+    if len(y) < n + 1:
+        raise ValueError(f"need at least {n + 1} samples, got {len(y)}")
     if alpha == 1.0:
-        return np.gradient(y, h)
+        return np.gradient(y, h, axis=0)
     if alpha > 1:
-        return caputo_derivative_estimate(np.gradient(y, h), alpha - 1.0, h)
-    steps = y.size - 1
+        return caputo_derivative_estimate(np.gradient(y, h, axis=0), alpha - 1.0, h)
+    steps = len(y) - 1
     d = np.arange(steps, dtype=float)
     w = (d + 1) ** (1 - alpha) - d ** (1 - alpha)
     # the first `steps` terms of the linear convolution of diff(y) with w,
     # by one real FFT of a size that does not wrap; a constant input has
     # an all-zero difference and so an exactly zero estimate
     size = 2 * steps
-    conv = np.fft.irfft(np.fft.rfft(np.diff(y), size) * np.fft.rfft(w, size), size)[:steps]
-    out = np.empty(y.size)
+    kernel = np.fft.rfft(w, size).reshape((-1,) + (1,) * (y.ndim - 1))
+    conv = np.fft.irfft(np.fft.rfft(np.diff(y, axis=0), size, axis=0) * kernel,
+                        size, axis=0)[:steps]
+    out = np.empty(y.shape)
     out[0] = 0.0
     out[1:] = conv * h ** (-alpha) / math.gamma(2 - alpha)
     return out

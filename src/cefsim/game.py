@@ -78,11 +78,19 @@ class TaskSpec(Record):
                 yield name, f"{name} must be >= 0"
 
 
+def block_slices(sizes: Sequence[int]) -> tuple[slice, ...]:
+    """The flat layout of a profile: the slice of each block of `sizes`
+    entries, the blocks concatenated in order."""
+    offsets = itertools.accumulate(sizes, initial=0)
+    return tuple(itertools.starmap(slice, itertools.pairwise(offsets)))
+
+
 class MixedStrategyProfile:
     """Per-provider probability vectors over worker-contribution levels.
 
     Block i has length L_i + 1 and sums to one; the flat view
-    concatenates blocks provider-major, strategy-minor.
+    concatenates blocks provider-major, strategy-minor, at the
+    `block_slices` of the block sizes.
     """
 
     def __init__(self, blocks: Sequence[np.ndarray]):
@@ -116,13 +124,9 @@ class MixedStrategyProfile:
     @classmethod
     def from_flat(cls, sizes: Sequence[int], flat: np.ndarray) -> "MixedStrategyProfile":
         flat = np.asarray(flat, dtype=float)
-        out, pos = [], 0
-        for s in sizes:
-            out.append(flat[pos:pos + s])
-            pos += s
-        if pos != flat.size:
+        if sum(sizes) != flat.size:
             raise ValueError("flat vector length does not match block sizes")
-        return cls(out)
+        return cls([flat[sl] for sl in block_slices(sizes)])
 
     @property
     def flat(self) -> np.ndarray:
@@ -228,9 +232,8 @@ class FederationGame:
         self.literal_utilization_cost = literal_utilization_cost
         # the flat layout of a profile: one block of L_i + 1 shares per provider
         self.block_sizes = tuple(e.num_strategies for e in self.eips)
+        self.slices = block_slices(self.block_sizes)
         self._task_weights = tuple(t.rate / total_rate for t in self.tasks)
-        offsets = list(itertools.accumulate(self.block_sizes, initial=0))
-        self._slices = tuple(slice(a, b) for a, b in zip(offsets, offsets[1:]))
         # utilization cost terms: per strategy j, provider and E (None if literal);
         # per provider its slice, levels j, clouds, capacity and -C * rho
         self._js = np.concatenate([np.arange(s, dtype=float) for s in self.block_sizes])
@@ -239,7 +242,7 @@ class FederationGame:
             [float(e.num_clouds) for e in self.eips])[self._owner]
         self._cost_terms = tuple(
             (sl, self._js[sl], e.num_clouds, e.capacity, -e.fixed_cost * e.calibration_ratio)
-            for sl, e in zip(self._slices, self.eips))
+            for sl, e in zip(self.slices, self.eips))
         self._plan = None   # lazy: per-provider contraction plan, see _compile
         self._terms = {}    # task -> {placement: per-provider expected terms}
 
@@ -252,7 +255,7 @@ class FederationGame:
 
     def utilization_cost(self, i: int, j: int, x: MixedStrategyProfile) -> float:
         """Utilization cost of strategy j of provider i at profile x."""
-        return float(self._costs(x.flat)[self._slices[i]][j])
+        return float(self._costs(x.flat)[self.slices[i]][j])
 
     def _costs(self, flat: np.ndarray) -> np.ndarray:
         """Utilization cost (j x_ij / s_i) f(w_i) [/ E_i off the literal branch]
@@ -344,7 +347,7 @@ class FederationGame:
             for table, value in zip(tables, self._base_payoffs(levels)):
                 table[levels] = value
         plan = []
-        for i, (table, sl) in enumerate(zip(tables, self._slices)):
+        for i, (table, sl) in enumerate(zip(tables, self.slices)):
             steps, dims = [], list(shape)
             for other in reversed(range(len(shape))):
                 if other == i:
@@ -365,7 +368,7 @@ class FederationGame:
         """Expected payoff of every strategy against the opponents' mixed
         strategies, less its utilization cost, laid out like `flat`."""
         plan = self._plan or self._compile()
-        blocks = [flat[sl] for sl in self._slices]
+        blocks = [flat[sl] for sl in self.slices]
         u = np.empty(flat.size)
         for operand, first, rest, sl in plan:
             if first is None:
@@ -380,7 +383,7 @@ class FederationGame:
 
     def payoff_vector(self, i: int, x: MixedStrategyProfile) -> np.ndarray:
         """Payoff of each strategy of provider i at x, its utilization cost included."""
-        return self._payoffs(x.flat)[self._slices[i]]
+        return self._payoffs(x.flat)[self.slices[i]]
 
     def average_payoff(self, i: int, x: MixedStrategyProfile) -> float:
         return float(x.blocks[i] @ self.payoff_vector(i, x))
@@ -394,7 +397,7 @@ class FederationGame:
         without profile validation.
         """
         u = self._payoffs(flat)
-        for sl in self._slices:
+        for sl in self.slices:
             ui = u[sl]
             ui -= flat[sl].dot(ui)
         # gamma * x * (u - ubar), rounded step by step in that order

@@ -219,6 +219,19 @@ def test_cli_simulate_unconverged_exit(tmp_path, doc):
     assert code == 3
 
 
+def test_cli_simulate_unconverged_exit_on_healthy_run(tmp_path, doc):
+    # classical dynamics stopped at t = 0.02, still moving by more than the
+    # adjacency threshold per step: exit 3 from slow dynamics, not a blow-up
+    doc["solver"].update(alpha=1.0, horizon=0.02, steps=400)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert main(["simulate", str(p), "--out-dir", str(tmp_path / "u")]) == 3
+    assert json.loads((tmp_path / "u/report.json").read_text())["t_adjacency"] is None
+    cfg = parse_config(p)
+    traj = simulate(cfg.game(), cfg.initial_mixed_profile(), cfg.solver, cfg.gamma)
+    assert np.max(traj.postprocess_corrections) <= 1e-12
+
+
 def test_cli_missing_config_is_usage_error(tmp_path, capsys):
     code = main(["simulate", str(tmp_path / "nope.json"),
                  "--out-dir", str(tmp_path)])
@@ -234,6 +247,18 @@ def test_cli_sweep_and_determinism(tmp_path, fast_config):
     b = (tmp_path / "b/sweep.csv").read_bytes()
     assert a == b
     assert len(a.decode().splitlines()) == 2 + 6  # meta + header + 6 rows
+
+
+def test_cli_sweep_plots_only_existing_providers(tmp_path, doc):
+    del doc["eips"][1:]
+    doc["solver"]["steps"] = 100
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert main(["sweep", str(p), "--param", "r1", "--grid", "10:30:10",
+                 "--out-dir", str(tmp_path)]) == 0
+    svg = (tmp_path / "sweep.svg").read_text()
+    assert svg.count("<polyline") == 1
+    assert "nan" not in svg and "x2_last" not in svg
 
 
 def test_cli_sweep_invariant_breach(tmp_path, fast_config, capsys):

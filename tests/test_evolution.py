@@ -6,7 +6,8 @@ from cefsim.evolution import (EquilibriumReport, Trajectory, detect_convergence,
                               project_simplex_flat, simulate, stability_probe,
                               stability_weight)
 from cefsim.fractional import FdeAbortError, SolverConfig, solve_fde_ivp
-from cefsim.game import EipConfig, FederationGame, MixedStrategyProfile, TaskSpec
+from cefsim.game import (EipConfig, FederationGame, MixedStrategyProfile, TaskSpec,
+                         block_slices)
 
 GAMMA = 0.42
 
@@ -40,18 +41,20 @@ def x_star(game, uniform):
 
 def test_projection_identity_and_clamp():
     valid = np.array([0.2, 0.3, 0.5])
-    assert np.array_equal(project_simplex_flat(valid, (3,)), valid)
-    out = project_simplex_flat(np.array([-0.01, 0.51, 0.50]), (3,))
+    assert np.array_equal(project_simplex_flat(valid, block_slices((3,))), valid)
+    out = project_simplex_flat(np.array([-0.01, 0.51, 0.50]), block_slices((3,)))
     assert out[0] == 0.0
     assert out[1] == pytest.approx(0.51 / 1.01, abs=1e-12)
     assert out[2] == pytest.approx(0.50 / 1.01, abs=1e-12)
     # idempotent
-    assert np.allclose(project_simplex_flat(out, (3,)), out, atol=1e-15)
+    assert np.allclose(project_simplex_flat(out, block_slices((3,))), out, atol=1e-15)
 
 
 def test_projection_rejects_dead_block():
-    with pytest.raises(ValueError, match="zero"):
-        project_simplex_flat(np.array([0.0, -0.2, 0.0, 1.0]), (3, 1))
+    with pytest.raises(ValueError, match="^block at offset 0 is all zero after clamping$"):
+        project_simplex_flat(np.array([0.0, -0.2, 0.0, 1.0]), block_slices((3, 1)))
+    with pytest.raises(ValueError, match="^block at offset 3 is all zero after clamping$"):
+        project_simplex_flat(np.array([0.2, 0.3, 0.5, -1.0]), block_slices((3, 1)))
 
 
 def _seed_project_simplex_flat(raw, block_sizes):
@@ -78,7 +81,7 @@ def test_projection_bit_identical_to_clip_form():
         raw[hit] = rng.choice(specials, hit.sum())
         for pos in (0, 5, 14):            # keep every block alive
             raw[pos] = abs(raw[pos]) + 0.1
-        got = project_simplex_flat(raw, sizes)
+        got = project_simplex_flat(raw, block_slices(sizes))
         want = _seed_project_simplex_flat(raw, sizes)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), m
         assert not np.any(np.signbit(got))
@@ -116,7 +119,6 @@ def _per_step_diagnostics(game, x0, solver, gamma):
     """The solve `simulate` makes, with each step's corrector update
     max|xnew - xc| and simplex correction max|fixed - raw| recorded as the
     step happens."""
-    sizes = game.block_sizes
     rhs_input, updates, corrections = [None], [0.0], [0.0]
 
     def rhs(y):
@@ -126,7 +128,7 @@ def _per_step_diagnostics(game, x0, solver, gamma):
     def postprocess(raw):
         # the last rhs input before the projection is the iterate the
         # last corrector pass started from
-        fixed = project_simplex_flat(raw, sizes)
+        fixed = project_simplex_flat(raw, game.slices)
         updates.append(float(np.abs(raw - rhs_input[0]).max()))
         corrections.append(float(np.abs(fixed - raw).max()))
         return fixed
@@ -177,7 +179,7 @@ def test_non_finite_corrector_output_aborts_simulate():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_projection_rejects_non_finite_vector(bad):
     with pytest.raises(ValueError, match="non-finite"):
-        project_simplex_flat(np.array([0.2, bad, 0.5, 1.0]), (3, 1))
+        project_simplex_flat(np.array([0.2, bad, 0.5, 1.0]), block_slices((3, 1)))
 
 
 def test_postprocess_errors_on_finite_states_pass_through():

@@ -96,6 +96,19 @@ def test_caputo_fft_matches_direct_convolution(alpha, n):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n", [11, 1001])
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0, 1.5])
+def test_caputo_columns_match_one_column_calls(alpha, n):
+    # a (samples, columns) input estimates each column as if alone, to the bit
+    rng = np.random.default_rng(n)
+    y = rng.normal(0.0, 1.0, (n, 14)).cumsum(axis=0)
+    got = caputo_derivative_estimate(y, alpha, 1e-3)
+    assert got.shape == y.shape
+    for j in range(y.shape[1]):
+        want = caputo_derivative_estimate(np.ascontiguousarray(y[:, j]), alpha, 1e-3)
+        assert np.array_equal(got[:, j].view(np.uint64), want.view(np.uint64)), j
+
+
 def test_caputo_rejects_short_input():
     with pytest.raises(ValueError, match="samples"):
         caputo_derivative_estimate([1.0, 2.0], 1.5, 0.1)

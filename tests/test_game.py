@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from cefsim.game import (EipConfig, FederationGame, MixedStrategyProfile,
-                         TaskSpec, _amortized_cost, joint_assignment_pmf,
-                         recovery_pmf)
+                         TaskSpec, _amortized_cost, block_slices,
+                         joint_assignment_pmf, recovery_pmf)
 
 
 @pytest.fixture
@@ -53,6 +53,19 @@ def test_profile_validation(eips):
     assert np.allclose(x.flat.sum(), 2.0)
     y = MixedStrategyProfile.from_flat((5, 9), x.flat)
     assert all(np.array_equal(a, b) for a, b in zip(x.blocks, y.blocks))
+    for flat in (x.flat[:-1], np.append(x.flat, 0.0)):
+        with pytest.raises(ValueError, match="does not match block sizes"):
+            MixedStrategyProfile.from_flat((5, 9), flat)
+
+
+def test_one_block_layout(eips):
+    # the game, its profiles and `block_slices` share one flat layout
+    assert block_slices((5, 9, 8)) == (slice(0, 5), slice(5, 14), slice(14, 22))
+    assert block_slices(()) == ()
+    game = FederationGame(eips, [TaskSpec(6, 4, 30, 30, 10, 1e6, 1.0)])
+    x = MixedStrategyProfile.uniform(eips)
+    assert game.slices == block_slices(x.block_sizes) == block_slices((5, 9))
+    assert all(np.array_equal(x.flat[sl], b) for sl, b in zip(game.slices, x.blocks))
 
 
 @pytest.mark.parametrize("blocks, bad", [

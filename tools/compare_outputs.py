@@ -13,6 +13,9 @@ imports cefsim from that tree's `src/` and nowhere else:
   numerical blow-up that exits 3) and at alpha 1.3 with 3000 steps;
 - `sweep --param r1 --grid 10:60:10` of the bundled scenario;
 - `kernel --alphas 0.65,0.8,1.2`;
+- `simulate` of a one-provider (provider 2 removed) and a three-provider
+  (a third provider added) variant of the bundled scenario, and `field
+  --grid-spec 0.3:0.5:0.1 --stride 50` of each variant at 1000 steps;
 - two numerical aborts (exit 2): `simulate` of the bundled scenario with
   provider 1 saturated (capacity == num_clouds * max_workers, starting at
   its all-max share), and at gamma 1e300 with 200 steps;
@@ -75,6 +78,15 @@ INVALID = {
 }
 
 
+# edits of the bundled scenario with another number of providers
+PROVIDERS = {
+    "1p": lambda doc: doc["eips"].pop(),
+    "3p": lambda doc: doc["eips"].append({
+        "index": 3, "num_clouds": 110, "max_workers": 7, "fixed_cost": 2100.0,
+        "calibration_ratio": 1.0, "cpu_cost": 1e-5, "capacity": 1200}),
+}
+
+
 # edits of the bundled scenario that make its run abort on a non-finite state
 ABORTS = {
     "saturation": lambda doc: (
@@ -112,6 +124,13 @@ def commands(src: Path, work: Path) -> dict[str, tuple[list[str], int, bool]]:
     cmds["sweep-r1"] = (["sweep", str(bundled), "--param", "r1", "--grid", "10:60:10"],
                         1, False)
     cmds["kernel"] = (["kernel", "--alphas", "0.65,0.8,1.2"], 1, False)
+    for name, edit in PROVIDERS.items():
+        cfg = _bundled(src, work, name, edit)
+        cmds[f"simulate-{name}"] = (["simulate", str(cfg)], 1, False)
+        cfg = _bundled(src, work, f"{name}-1000", lambda doc: (
+            edit(doc), doc["solver"].update(steps=1000)))
+        cmds[f"field-{name}"] = (["field", str(cfg), "--grid-spec", "0.3:0.5:0.1",
+                                  "--stride", "50"], 1, False)
     for name, edit in ABORTS.items():
         cmds[f"abort-{name}"] = (["simulate", str(_bundled(src, work, name, edit))], 1, False)
     for name, edit in INVALID.items():
