@@ -1,7 +1,7 @@
 """The config records: `EipConfig`, `TaskSpec` and `SolverConfig` derive
 from `Record`, and their dataclass fields, typed `int`, `float` or
 `Optional[int]`, are the only declaration of their JSON keys.  The type
-checks, the parser, `ScenarioConfig.to_dict` and `SweepSpec` read them.
+checks, the parser, `ScenarioConfig.to_dict` and `scenario_at` read them.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ error, 2 numerical abort.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
@@ -20,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ScenarioConfig, parse_config
 from .evolution import detect_convergence, direction_field, simulate
-from .experiments import SWEEPABLE, SweepSpec, kernel_study, run_sweep
+from .experiments import SWEEPABLE, SweepSpec, kernel_study, run_sweep, scenario_at
 from .fractional import FdeAbortError
 from .game import MixedStrategyProfile
 from . import svgplot
@@ -63,12 +62,12 @@ def _write_float_csv(path: Path, comment: str, cols, *columns: np.ndarray) -> No
             f.write("".join([line % tuple(row) for row in rows]))
 
 
-def _metadata(config: ScenarioConfig, alpha: float) -> dict:
+def _metadata(config: ScenarioConfig, run: ScenarioConfig) -> dict:
     return {
         "config_hash": config.content_hash(),
-        "alpha": alpha,
-        "gamma": config.gamma,
-        "steps": config.solver.steps,
+        "alpha": run.solver.alpha,
+        "gamma": run.gamma,
+        "steps": run.solver.steps,
         "version": __version__,
     }
 
@@ -77,11 +76,19 @@ def _meta_comment(meta: dict) -> str:
     return "# " + " ".join(f"{k}={v}" for k, v in meta.items())
 
 
-def _solver(config: ScenarioConfig, alpha: float | None):
-    solver = config.solver
-    if alpha is not None:
-        solver = dataclasses.replace(solver, alpha=alpha)
-    return solver
+def _scenarios(args) -> tuple[ScenarioConfig, ScenarioConfig]:
+    """The config as read, whose hash is the provenance of every artifact,
+    and the scenario the command runs: the config with `--alpha`
+    substituted as a sweep substitutes a grid value, when it is given."""
+    config = parse_config(args.config)
+    run = config if args.alpha is None else scenario_at(config, "alpha", args.alpha)
+    return config, run
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -100,15 +107,13 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_simulate(args) -> int:
-    config = parse_config(args.config)
-    solver = _solver(config, args.alpha)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    config, run = _scenarios(args)
+    out = _out_dir(args)
 
-    game = config.game()
-    traj = simulate(game, config.initial_mixed_profile(), solver, config.gamma)
+    game = run.game()
+    traj = simulate(game, run.initial_mixed_profile(), run.solver, run.gamma)
     report = detect_convergence(traj)
-    meta = _metadata(config, solver.alpha)
+    meta = _metadata(config, run)
 
     # x_i_j: the share of provider i's strategy j, one per flat-state column
     names = [f"x_{i + 1}_{j}" for i, s in enumerate(game.block_sizes) for j in range(s)]
@@ -127,26 +132,22 @@ def cmd_simulate(args) -> int:
 
     series = {names[sl.stop - 1]: traj.states[:, sl.stop - 1].tolist() for sl in game.slices}
     svgplot.line_plot(out / "trajectory.svg", traj.times.tolist(), series,
-                      title=f"last-strategy shares, alpha={solver.alpha}",
+                      title=f"last-strategy shares, alpha={run.solver.alpha}",
                       xlabel="t", ylabel="share")
     return EXIT_OK if report.t_adjacency is not None else EXIT_UNCONVERGED
 
 
 def cmd_sweep(args) -> int:
-    config = parse_config(args.config)
+    config, run = _scenarios(args)
     # integral values become ints, which the integer parameters require
     grid = tuple(int(v) if v.is_integer() else v for v in _parse_grid(args.grid))
-    spec = SweepSpec(args.param, grid,
-                     dataclasses.replace(config, solver=_solver(config, args.alpha)))
-    rows = run_sweep(spec)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    meta = _metadata(config, spec.base.solver.alpha)
-    _write_csv(out / "sweep.csv", _meta_comment(meta), rows[0].keys(),
+    rows = run_sweep(SweepSpec(args.param, grid, run))
+    out = _out_dir(args)
+    _write_csv(out / "sweep.csv", _meta_comment(_metadata(config, run)), rows[0].keys(),
                (row.values() for row in rows))
     svgplot.line_plot(out / "sweep.svg", [float(r[args.param]) for r in rows],
                       {c: [float(r[c]) for r in rows]
-                       for c in ("x1_last", "x2_last")[:len(config.eips)]},
+                       for c in ("x1_last", "x2_last") if c in rows[0]},
                       title=f"sweep over {args.param}", xlabel=args.param,
                       ylabel="equilibrium share")
     return EXIT_OK
@@ -168,19 +169,17 @@ def _field_grid(config: ScenarioConfig, values) -> list[MixedStrategyProfile]:
 
 
 def cmd_field(args) -> int:
-    config = parse_config(args.config)
-    solver = _solver(config, args.alpha)
+    config, run = _scenarios(args)
     values = _parse_grid(args.grid_spec)
-    starts = len(values) ** len(config.eips)
+    starts = len(values) ** len(run.eips)
     if starts > MAX_GRID_VALUES:
         raise ValueError(f"field must have at most {MAX_GRID_VALUES} starts, got {starts} "
-                         f"({len(values)} grid values for {len(config.eips)} providers)")
-    grid = _field_grid(config, values)
-    game = config.game()
-    polylines = direction_field(game, grid, solver, config.gamma, stride=args.stride)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    meta = _metadata(config, solver.alpha)
+                         f"({len(values)} grid values for {len(run.eips)} providers)")
+    grid = _field_grid(run, values)
+    game = run.game()
+    polylines = direction_field(game, grid, run.solver, run.gamma, stride=args.stride)
+    out = _out_dir(args)
+    meta = _metadata(config, run)
     doc = {**meta,
            "grid_values": values,
            "stride": args.stride,
@@ -193,7 +192,7 @@ def cmd_field(args) -> int:
     svgplot.polyline_plot(out / "field.svg",
                           [[(state[idx1], state[idx2]) for state in line]
                            for line in polylines],
-                          title=f"direction field, alpha={solver.alpha}",
+                          title=f"direction field, alpha={run.solver.alpha}",
                           xlabel="x_1_last", ylabel="x_2_last")
     return EXIT_OK
 
@@ -202,8 +201,7 @@ def cmd_kernel(args) -> int:
     alphas = [float(v) for v in args.alphas.split(",")]
     deltas = _parse_grid(args.deltas)
     rows = kernel_study(alphas, deltas)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     cols = list(rows[0].keys())
     _write_csv(out / "kernel.csv", f"# version={__version__}", cols,
                (row.values() for row in rows))
@@ -221,33 +219,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "evolutionary game with fractional replicator dynamics.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options shared by the commands: the scenario run, and where to write
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("config")
+    scenario.add_argument("--alpha", type=float, default=None)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out-dir", default=".")
 
-    p = sub.add_parser("simulate", help="integrate one trajectory and report convergence")
-    p.add_argument("config")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--out-dir", default=".")
+    p = sub.add_parser("simulate", parents=[scenario, output],
+                       help="integrate one trajectory and report convergence")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="equilibrium sweep over one parameter")
-    p.add_argument("config")
+    p = sub.add_parser("sweep", parents=[scenario, output],
+                       help="equilibrium sweep over one parameter")
     p.add_argument("--param", required=True, choices=SWEEPABLE)
     p.add_argument("--grid", required=True, help="lo:hi:step")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("field", help="direction field from a grid of initial profiles")
-    p.add_argument("config")
+    p = sub.add_parser("field", parents=[scenario, output],
+                       help="direction field from a grid of initial profiles")
     p.add_argument("--grid-spec", default="0.2:0.6:0.1", help="lo:hi:step for each provider's last-strategy mass")
     p.add_argument("--stride", type=int, default=200)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_field)
 
-    p = sub.add_parser("kernel", help="memory-kernel weight table")
+    p = sub.add_parser("kernel", parents=[output], help="memory-kernel weight table")
     p.add_argument("--alphas", required=True, help="comma-separated orders")
     p.add_argument("--deltas", default="0.0001:0.05:0.0001", help="lo:hi:step")
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_kernel)
     return parser
 

@@ -85,7 +85,7 @@ def simulate(game: FederationGame, x_init: MixedStrategyProfile,
     """
     if not gamma > 0:
         raise ValueError("adaptation speed gamma must be > 0")
-    sol = solve_fde_ivp(lambda y: game.rhs_flat(y, gamma), x_init.flat, solver,
+    sol = solve_fde_ivp(lambda y: game.rhs_flat(y, gamma), game.flat_state(x_init), solver,
                         postprocess=lambda raw: project_simplex_flat(raw, game.slices))
     return Trajectory(**vars(sol), game=game, gamma=gamma)
 
@@ -223,7 +223,7 @@ def stability_probe(game: FederationGame, x_star: MixedStrategyProfile, delta: f
     The supremum starts at the first grid point: at t = 0 the weighted
     distance equals the initial distance identically.
     """
-    residual = float(np.max(np.abs(game.rhs_flat(x_star.flat, gamma))))
+    residual = float(np.max(np.abs(game.rhs_flat(game.flat_state(x_star), gamma))))
     if residual > 1e-3:
         raise ValueError(f"x_star is not a rest point (residual {residual:.3g} > 1e-3)")
     if n_weight <= 0:

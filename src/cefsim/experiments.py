@@ -21,6 +21,23 @@ SWEEPABLE = ("W1", "E1", "r1", "n", "k", "alpha")
 _ALIASES = {"W1": "capacity", "E1": "num_clouds"}
 
 
+def scenario_at(base: ScenarioConfig, parameter: str, value) -> ScenarioConfig:
+    """`base` with the field `parameter` (one of SWEEPABLE) set to `value`,
+    coerced to float when declared float: the solver's field, provider 1's
+    (`W1`, `E1`) or every task type's, whichever record declares it."""
+    name = _ALIASES.get(parameter, parameter)
+
+    def put(record):
+        kind, _ = field_types(type(record))[name]
+        return dataclasses.replace(record, **{name: float(value) if kind is float else value})
+
+    if name in field_types(SolverConfig):
+        return dataclasses.replace(base, solver=put(base.solver))
+    if name in field_types(EipConfig):
+        return dataclasses.replace(base, eips=(put(base.eips[0]),) + base.eips[1:])
+    return dataclasses.replace(base, tasks=tuple(map(put, base.tasks)))
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One-parameter sweep over an otherwise fixed base scenario."""
@@ -42,40 +59,23 @@ class SweepSpec:
         problems = []
         for v in self.grid:
             try:
-                self.scenario_at(v)
+                scenario_at(self.base, self.parameter, v)
             except ValueError as exc:
                 problems.append(f"{self.parameter}={v}: {exc}")
         if problems:
             raise ConfigError(problems)
 
-    def scenario_at(self, value) -> ScenarioConfig:
-        """The base scenario with the swept field set to `value`, coerced to
-        float when declared float: the solver's field, provider 1's (`W1`,
-        `E1`) or every task type's, whichever record declares it."""
-        base = self.base
-        name = _ALIASES.get(self.parameter, self.parameter)
-
-        def put(record):
-            kind, _ = field_types(type(record))[name]
-            return dataclasses.replace(record, **{name: float(value) if kind is float else value})
-
-        if name in field_types(SolverConfig):
-            return dataclasses.replace(base, solver=put(base.solver))
-        if name in field_types(EipConfig):
-            return dataclasses.replace(base, eips=(put(base.eips[0]),) + base.eips[1:])
-        return dataclasses.replace(base, tasks=tuple(map(put, base.tasks)))
-
 
 def _sweep_row(spec: SweepSpec, value) -> dict:
-    sc = spec.scenario_at(value)
+    sc = scenario_at(spec.base, spec.parameter, value)
     rep = detect_convergence(simulate(sc.game(), sc.initial_mixed_profile(),
                                       sc.solver, sc.gamma))
+    # providers 1 and 2, where they exist: perfbench pins the three-provider header
+    shown = range(min(2, len(sc.eips)))
     return {
         spec.parameter: value,
-        "x1_last": float(rep.equilibrium.blocks[0][-1]),
-        "x2_last": float(rep.equilibrium.blocks[1][-1]) if len(sc.eips) > 1 else float("nan"),
-        "u1": rep.utilities[0],
-        "u2": rep.utilities[1] if len(sc.eips) > 1 else float("nan"),
+        **{f"x{i + 1}_last": float(rep.equilibrium.blocks[i][-1]) for i in shown},
+        **{f"u{i + 1}": rep.utilities[i] for i in shown},
         "t_adjacency": rep.t_adjacency,
         "t_neighborhood": rep.t_neighborhood,
         "residual": rep.residual,

@@ -246,16 +246,23 @@ class FederationGame:
         self._plan = None   # lazy: per-provider contraction plan, see _compile
         self._terms = {}    # task -> {placement: per-provider expected terms}
 
+    def flat_state(self, x: MixedStrategyProfile) -> np.ndarray:
+        """The flat state of profile x, whose blocks must be the game's."""
+        if x.block_sizes != self.block_sizes:
+            raise ValueError(f"profile blocks {x.block_sizes} do not match "
+                             f"the game's blocks {self.block_sizes}")
+        return x.flat
+
     # ------------------------------------------------------------------
     # utilization and its cost
 
     def utilization(self, i: int, x: MixedStrategyProfile) -> float:
-        _, js, clouds, capacity, _ = self._cost_terms[i]
-        return _utilization(float(js.dot(x.blocks[i])), clouds, capacity)
+        sl, js, clouds, capacity, _ = self._cost_terms[i]
+        return _utilization(float(js.dot(self.flat_state(x)[sl])), clouds, capacity)
 
     def utilization_cost(self, i: int, j: int, x: MixedStrategyProfile) -> float:
         """Utilization cost of strategy j of provider i at profile x."""
-        return float(self._costs(x.flat)[self.slices[i]][j])
+        return float(self._costs(self.flat_state(x))[self.slices[i]][j])
 
     def _costs(self, flat: np.ndarray) -> np.ndarray:
         """Utilization cost (j x_ij / s_i) f(w_i) [/ E_i off the literal branch]
@@ -383,7 +390,7 @@ class FederationGame:
 
     def payoff_vector(self, i: int, x: MixedStrategyProfile) -> np.ndarray:
         """Payoff of each strategy of provider i at x, its utilization cost included."""
-        return self._payoffs(x.flat)[self.slices[i]]
+        return self._payoffs(self.flat_state(x))[self.slices[i]]
 
     def average_payoff(self, i: int, x: MixedStrategyProfile) -> float:
         return float(x.blocks[i] @ self.payoff_vector(i, x))

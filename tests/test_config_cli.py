@@ -162,6 +162,25 @@ def test_initial_profile_validation(doc):
     assert cfg.initial_mixed_profile().blocks[1][0] == 1.0
 
 
+@pytest.mark.parametrize("edit,problem", [
+    (lambda doc: doc["tasks"][0].update(rate=0), "tasks: arrival rates must not all be zero"),
+    (lambda doc: doc["flags"].update(x=True), "flags.x: unknown flag"),
+    (lambda doc: doc.update(initial_profile=[[0.2] * 5]),
+     "initial_profile: one block per provider required"),
+], ids=["zero-rates", "unknown-flag", "block-count"])
+def test_config_rejections(doc, edit, problem):
+    edit(doc)
+    with pytest.raises(ConfigError) as exc:
+        parse_config_dict(doc)
+    assert exc.value.problems == [problem]
+
+
+def test_top_level_must_be_object():
+    with pytest.raises(ConfigError) as exc:
+        parse_config_dict([])
+    assert exc.value.problems == ["top level must be an object"]
+
+
 def test_missing_and_malformed_files(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config(tmp_path / "nope.json")
@@ -261,6 +280,20 @@ def test_cli_sweep_plots_only_existing_providers(tmp_path, doc):
     assert "nan" not in svg and "x2_last" not in svg
 
 
+def test_cli_one_provider_sweep_columns(tmp_path, doc):
+    # a lone provider's sweep has no columns for a second one
+    del doc["eips"][1:]
+    doc["solver"]["steps"] = 100
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert main(["sweep", str(p), "--param", "r1", "--grid", "10:30:10",
+                 "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[1] == "r1,x1_last,u1,t_adjacency,t_neighborhood,residual"
+    assert len(lines) == 2 + 3
+    assert not any("nan" in line or "x2_last" in line or "u2" in line for line in lines)
+
+
 def test_cli_sweep_invariant_breach(tmp_path, fast_config, capsys):
     code = main(["sweep", str(fast_config), "--param", "W1",
                  "--grid", "100:200:50", "--out-dir", str(tmp_path)])
@@ -326,11 +359,17 @@ def test_cli_bad_grid(tmp_path, fast_config, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("grid", ["1:inf:1", "-inf:1:1", "0:1:inf", "0:nan:1"])
+@pytest.mark.parametrize("grid,message", [
+    pytest.param(g, "finite", id=g) for g in ("1:inf:1", "-inf:1:1", "0:1:inf", "0:nan:1")] + [
+    pytest.param(g, f"at most {cli.MAX_GRID_VALUES} values", id=g)
+    for g in ("1e16:2e16:1", "0:1e9:1")])
 @pytest.mark.parametrize("command,flag", [("sweep", "--grid"), ("field", "--grid-spec")])
-def test_cli_non_finite_grid(tmp_path, fast_config, capsys, monkeypatch, command, flag, grid):
-    # an infinite bound or step never ends the grid loop: it must be refused
-    # before the loop, and a regression must fail here rather than fill memory
+def test_cli_non_finite_grid(tmp_path, fast_config, capsys, monkeypatch, command, flag,
+                             grid, message):
+    # a grid that never ends the grid loop (an infinite bound or step) or
+    # would fill memory (a step below the float spacing of lo, or 10^9
+    # values) must be refused before any value is built, and a regression
+    # must fail here rather than fill memory
     calls = []
     def bounded_round(v, nd):
         calls.append(v)
@@ -342,26 +381,7 @@ def test_cli_non_finite_grid(tmp_path, fast_config, capsys, monkeypatch, command
     code = main([command, str(fast_config), *extra, f"{flag}={grid}",
                  "--out-dir", str(tmp_path)])
     assert code == 1
-    assert "finite" in capsys.readouterr().err
-    assert calls == []
-
-
-@pytest.mark.parametrize("grid", ["1e16:2e16:1", "0:1e9:1"])
-@pytest.mark.parametrize("command,flag", [("sweep", "--grid"), ("field", "--grid-spec")])
-def test_cli_oversized_grid(tmp_path, fast_config, capsys, monkeypatch, command, flag, grid):
-    # a step below the float spacing of lo, or 10^9 values: refused before
-    # any value is built, and a regression fails here rather than fill memory
-    calls = []
-    def bounded_round(v, nd):
-        calls.append(v)
-        assert len(calls) < 1000, "grid loop ran away"
-        return round(v, nd)
-    monkeypatch.setattr(cli, "round", bounded_round, raising=False)
-    extra = ["--param", "r1"] if command == "sweep" else []
-    code = main([command, str(fast_config), *extra, f"{flag}={grid}",
-                 "--out-dir", str(tmp_path)])
-    assert code == 1
-    assert f"at most {cli.MAX_GRID_VALUES} values" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert calls == []
 
 
@@ -373,6 +393,18 @@ def _loop_grid(text):
         out.append(round(v, 12))
         v += step
     return out
+
+
+def test_parse_grid_needs_three_fields():
+    with pytest.raises(ValueError, match="grid must be lo:hi:step, got '1:2'"):
+        cli._parse_grid("1:2")
+
+
+def test_cli_unknown_command_and_version(capsys):
+    assert main(["bogus"]) == 1
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"{cli.__version__}\n"
 
 
 def test_parse_grid_value_count():

@@ -109,6 +109,14 @@ def test_simulate_rejects_nonpositive_gamma(game, uniform, gamma):
         simulate(game, uniform, SolverConfig(alpha=0.8, steps=10), gamma)
 
 
+def test_simulate_rejects_other_layout(game):
+    # the game's total length, 14, in blocks (9, 5) instead of (5, 9)
+    x = MixedStrategyProfile([np.full(9, 1 / 9), np.full(5, 0.2)])
+    with pytest.raises(ValueError, match=r"profile blocks \(9, 5\) do not match "
+                                         r"the game's blocks \(5, 9\)"):
+        simulate(game, x, SolverConfig(alpha=0.8, steps=10), GAMMA)
+
+
 def test_projection_magnitude_tiny_for_nonovershooting_orders(game, uniform):
     for a in (0.8, 1.0):
         traj = simulate(game, uniform, SolverConfig(alpha=a, steps=2000), GAMMA)

@@ -6,7 +6,7 @@ import pytest
 from cefsim import experiments
 from cefsim.config import ConfigError, ScenarioConfig
 from cefsim.evolution import detect_convergence, simulate
-from cefsim.experiments import SweepSpec, kernel_study, run_sweep
+from cefsim.experiments import SweepSpec, kernel_study, run_sweep, scenario_at
 from cefsim.fractional import SolverConfig
 from cefsim.game import EipConfig, TaskSpec
 
@@ -37,13 +37,12 @@ def test_spec_validation():
 
 
 def test_scenario_substitution():
-    spec = _spec("W1", (600, 700))
-    sc = spec.scenario_at(700)
+    sc = scenario_at(BASE, "W1", 700)
     assert sc.eips[0].capacity == 700
     assert sc.eips[1] == EIPS[1]
     assert dataclasses.replace(sc, eips=EIPS) == BASE
-    assert _spec("k", (3, 4)).scenario_at(3).tasks[0].k == 3
-    sc = _spec("alpha", (0.6, 0.8)).scenario_at(0.6)
+    assert scenario_at(BASE, "k", 3).tasks[0].k == 3
+    sc = scenario_at(BASE, "alpha", 0.6)
     assert sc.solver == dataclasses.replace(FAST, alpha=0.6)
     assert dataclasses.replace(sc, solver=FAST) == BASE
 

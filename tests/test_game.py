@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,16 @@ def test_one_block_layout(eips):
     x = MixedStrategyProfile.uniform(eips)
     assert game.slices == block_slices(x.block_sizes) == block_slices((5, 9))
     assert all(np.array_equal(x.flat[sl], b) for sl, b in zip(game.slices, x.blocks))
+
+
+def test_readers_reject_other_layout(game):
+    # blocks (9, 5) have the game's total length but not its (5, 9) layout
+    x = MixedStrategyProfile([np.full(9, 1 / 9), np.full(5, 0.2)])
+    msg = re.escape("profile blocks (9, 5) do not match the game's blocks (5, 9)")
+    for read in (lambda: game.payoff_vector(0, x), lambda: game.average_payoff(1, x),
+                 lambda: game.utilization(0, x), lambda: game.utilization_cost(0, 1, x)):
+        with pytest.raises(ValueError, match=msg):
+            read()
 
 
 @pytest.mark.parametrize("blocks, bad", [

@@ -12,6 +12,9 @@ imports cefsim from that tree's `src/` and nowhere else:
 - `simulate` of the bundled scenario at alpha 0.5 with 1500 steps (a
   numerical blow-up that exits 3) and at alpha 1.3 with 3000 steps;
 - `sweep --param r1 --grid 10:60:10` of the bundled scenario;
+- at 1000 steps of the bundled scenario, the paths of `--alpha`:
+  `field --alpha 0.8`, `sweep --param r1 --grid 10:30:10 --alpha 0.8`
+  and `sweep --param alpha --grid 0.8:1:0.1`;
 - `kernel --alphas 0.65,0.8,1.2`;
 - `simulate` of a one-provider (provider 2 removed) and a three-provider
   (a third provider added) variant of the bundled scenario, and `field
@@ -106,44 +109,47 @@ def _bundled(src: Path, work: Path, name: str, edit) -> Path:
     return path
 
 
-def commands(src: Path, work: Path) -> dict[str, tuple[list[str], int, bool]]:
-    """label -> (CLI arguments without --out-dir, CEF_THREADS, whether
-    stderr is compared)."""
+def commands(src: Path, work: Path) -> dict[str, tuple[list[str], bool]]:
+    """label -> (CLI arguments without --out-dir, whether stderr is compared)."""
     work.mkdir(parents=True)
     cmds = {}
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             inv = workloads.generate(name, seed, src, work)
             cmds[f"{name}-seed{seed}"] = ([inv.command, str(inv.config_path), *inv.args],
-                                           inv.threads, False)
+                                           False)
     bundled = src / "cefsim" / "data" / "canonical_scenario.json"
     for alpha, steps in (("0.5", 1500), ("1.3", 3000)):
         cfg = _bundled(src, work, f"bundled-{steps}",
                        lambda doc: doc["solver"].update(steps=steps))
-        cmds[f"simulate-alpha{alpha}"] = (["simulate", str(cfg), "--alpha", alpha], 1, False)
-    cmds["sweep-r1"] = (["sweep", str(bundled), "--param", "r1", "--grid", "10:60:10"],
-                        1, False)
-    cmds["kernel"] = (["kernel", "--alphas", "0.65,0.8,1.2"], 1, False)
+        cmds[f"simulate-alpha{alpha}"] = (["simulate", str(cfg), "--alpha", alpha], False)
+    cmds["sweep-r1"] = (["sweep", str(bundled), "--param", "r1", "--grid", "10:60:10"], False)
+    cfg = str(_bundled(src, work, "bundled-1000", lambda doc: doc["solver"].update(steps=1000)))
+    cmds["field-alpha0.8"] = (["field", cfg, "--alpha", "0.8"], False)
+    cmds["sweep-r1-alpha0.8"] = (["sweep", cfg, "--param", "r1", "--grid", "10:30:10",
+                                  "--alpha", "0.8"], False)
+    cmds["sweep-alpha"] = (["sweep", cfg, "--param", "alpha", "--grid", "0.8:1:0.1"], False)
+    cmds["kernel"] = (["kernel", "--alphas", "0.65,0.8,1.2"], False)
     for name, edit in PROVIDERS.items():
         cfg = _bundled(src, work, name, edit)
-        cmds[f"simulate-{name}"] = (["simulate", str(cfg)], 1, False)
+        cmds[f"simulate-{name}"] = (["simulate", str(cfg)], False)
         cfg = _bundled(src, work, f"{name}-1000", lambda doc: (
             edit(doc), doc["solver"].update(steps=1000)))
         cmds[f"field-{name}"] = (["field", str(cfg), "--grid-spec", "0.3:0.5:0.1",
-                                  "--stride", "50"], 1, False)
+                                  "--stride", "50"], False)
     for name, edit in ABORTS.items():
-        cmds[f"abort-{name}"] = (["simulate", str(_bundled(src, work, name, edit))], 1, False)
+        cmds[f"abort-{name}"] = (["simulate", str(_bundled(src, work, name, edit))], False)
     for name, edit in INVALID.items():
-        cmds[f"invalid-{name}"] = (["simulate", str(_bundled(src, work, name, edit))], 1, True)
+        cmds[f"invalid-{name}"] = (["simulate", str(_bundled(src, work, name, edit))], True)
     # E1 * L1 = 400: a capacity of 300 breaks provider 1
     cmds["invalid-sweep-grid"] = (["sweep", str(bundled), "--param", "W1",
-                                   "--grid", "300:400:100"], 1, True)
+                                   "--grid", "300:400:100"], True)
     return cmds
 
 
-def run(src: Path, args: list[str], threads: int, out_dir: Path) -> tuple[int, str]:
+def run(src: Path, args: list[str], out_dir: Path) -> tuple[int, str]:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env.update({var: "1" for var in THREAD_VARS}, CEF_THREADS=str(threads))
+    env.update({var: "1" for var in THREAD_VARS})
     out_dir.mkdir(parents=True)
     done = subprocess.run([sys.executable, "-c", RUNNER, str(src), *args,
                            "--out-dir", str(out_dir)],
@@ -192,8 +198,8 @@ def main(argv=None) -> int:
     with ThreadPoolExecutor(max_workers=2) as pool:
         for label in plans[0]:
             outs = [tmp / side / "out" / label for side in sides]
-            *_, check_stderr = plans[0][label]
-            jobs = [pool.submit(run, src, *plan[label][:2], out)
+            check_stderr = plans[0][label][1]
+            jobs = [pool.submit(run, src, plan[label][0], out)
                     for src, plan, out in zip(srcs, plans, outs)]
             (code_a, err_a), (code_b, err_b) = (j.result() for j in jobs)
             errs = None
