@@ -32,7 +32,7 @@ from .evolution import (
     stability_weight,
     estimate_lipschitz,
 )
-from .experiments import SweepSpec, run_sweep, kernel_study
+from .experiments import run_sweep, kernel_study
 from .config import ScenarioConfig, ConfigError, parse_config, emit_config
 
 __all__ = [
@@ -44,6 +44,6 @@ __all__ = [
     "Trajectory", "EquilibriumReport", "simulate", "detect_convergence",
     "direction_field", "stability_probe", "stability_weight",
     "estimate_lipschitz",
-    "SweepSpec", "run_sweep", "kernel_study",
+    "run_sweep", "kernel_study",
     "ScenarioConfig", "ConfigError", "parse_config", "emit_config",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ScenarioConfig, parse_config
 from .evolution import detect_convergence, direction_field, simulate
-from .experiments import SWEEPABLE, SweepSpec, kernel_study, run_sweep, scenario_at
+from .experiments import SWEEPABLE, kernel_study, run_sweep, scenario_at
 from .fractional import FdeAbortError
 from .game import MixedStrategyProfile
 from . import svgplot
@@ -121,7 +121,7 @@ def cmd_simulate(args) -> int:
                      traj.times, traj.states)
 
     doc = {
-        "equilibrium": [[float(v) for v in b] for b in report.equilibrium.blocks],
+        "equilibrium": [b.tolist() for b in report.equilibrium.blocks],
         "t_adjacency": report.t_adjacency,
         "t_neighborhood": report.t_neighborhood,
         "utilities": list(report.utilities),
@@ -141,7 +141,7 @@ def cmd_sweep(args) -> int:
     config, run = _scenarios(args)
     # integral values become ints, which the integer parameters require
     grid = tuple(int(v) if v.is_integer() else v for v in _parse_grid(args.grid))
-    rows = run_sweep(SweepSpec(args.param, grid, run))
+    rows = run_sweep(run, args.param, grid)
     out = _out_dir(args)
     _write_csv(out / "sweep.csv", _meta_comment(_metadata(config, run)), rows[0].keys(),
                (row.values() for row in rows))
@@ -183,8 +183,7 @@ def cmd_field(args) -> int:
     doc = {**meta,
            "grid_values": values,
            "stride": args.stride,
-           "polylines": [[[float(v) for v in state] for state in line]
-                         for line in polylines]}
+           "polylines": [line.tolist() for line in polylines]}
     (out / "field.json").write_text(json.dumps(doc, indent=2) + "\n")
     # project onto the first two providers' last-strategy shares for the
     # quick-look; a lone provider is plotted against itself

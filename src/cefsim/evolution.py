@@ -90,6 +90,16 @@ def simulate(game: FederationGame, x_init: MixedStrategyProfile,
     return Trajectory(**vars(sol), game=game, gamma=gamma)
 
 
+def _last_violation(deviations: np.ndarray, threshold: float,
+                    times: np.ndarray) -> Optional[float]:
+    """The time of the last sample whose deviation is >= threshold: 0.0
+    if there is none, None if it is the last sample."""
+    viol = np.nonzero(deviations >= threshold)[0]
+    if viol.size == 0:
+        return 0.0
+    return float(times[viol[-1]]) if viol[-1] < len(times) - 1 else None
+
+
 def detect_convergence(traj: Trajectory) -> EquilibriumReport:
     """Classify convergence of a trajectory by backward scan.
 
@@ -106,22 +116,11 @@ def detect_convergence(traj: Trajectory) -> EquilibriumReport:
         raise ValueError("need a trajectory with at least 2 steps")
     x_star = traj.terminal
 
-    # max |x[j] - x[j-1]| of steps j = 1 .. n_steps
+    # max |x[j] - x[j-1]| of steps j = 1 .. n_steps, at the times they end
     changes = np.max(np.abs(np.diff(traj.states, axis=0)), axis=1)
-    viol = np.nonzero(changes >= ADJACENCY_THRESHOLD)[0]
-    if viol.size == 0:
-        t_adj = 0.0
-    else:
-        last = viol[-1] + 1          # step index of the last violating move
-        t_adj = float(traj.times[last]) if last < n_steps else None
-
+    t_adj = _last_violation(changes, ADJACENCY_THRESHOLD, traj.times[1:])
     dev = np.max(np.abs(traj.states[:-1] - traj.states[-1]), axis=1)
-    viol = np.nonzero(dev >= NEIGHBORHOOD_THRESHOLD)[0]
-    if viol.size == 0:
-        t_nbr = 0.0
-    else:
-        last = viol[-1]
-        t_nbr = float(traj.times[last]) if last < n_steps - 1 else None
+    t_nbr = _last_violation(dev, NEIGHBORHOOD_THRESHOLD, traj.times[:-1])
 
     utilities = tuple(traj.game.average_payoff(i, x_star) for i in range(len(traj.game.eips)))
     residual = float(np.max(np.abs(traj.game.rhs_flat(traj.states[-1], traj.gamma))))

@@ -7,7 +7,6 @@ in order on the calling thread.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from typing import Sequence
 
 from ._fields import field_types
@@ -21,11 +20,18 @@ SWEEPABLE = ("W1", "E1", "r1", "n", "k", "alpha")
 _ALIASES = {"W1": "capacity", "E1": "num_clouds"}
 
 
+def _field_name(parameter: str) -> str:
+    """The field that the sweep parameter `parameter` sets."""
+    if parameter not in SWEEPABLE:
+        raise ValueError(f"unknown sweep parameter {parameter!r}; choose from {SWEEPABLE}")
+    return _ALIASES.get(parameter, parameter)
+
+
 def scenario_at(base: ScenarioConfig, parameter: str, value) -> ScenarioConfig:
     """`base` with the field `parameter` (one of SWEEPABLE) set to `value`,
     coerced to float when declared float: the solver's field, provider 1's
     (`W1`, `E1`) or every task type's, whichever record declares it."""
-    name = _ALIASES.get(parameter, parameter)
+    name = _field_name(parameter)
 
     def put(record):
         kind, _ = field_types(type(record))[name]
@@ -38,42 +44,13 @@ def scenario_at(base: ScenarioConfig, parameter: str, value) -> ScenarioConfig:
     return dataclasses.replace(base, tasks=tuple(map(put, base.tasks)))
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-parameter sweep over an otherwise fixed base scenario."""
-
-    parameter: str                    # one of SWEEPABLE
-    grid: tuple
-    base: ScenarioConfig
-
-    def __post_init__(self):
-        if self.parameter not in SWEEPABLE:
-            raise ValueError(f"unknown sweep parameter {self.parameter!r}; "
-                             f"choose from {SWEEPABLE}")
-        if len(self.grid) == 0:
-            raise ValueError("sweep grid must be nonempty")
-        diffs = [b - a for a, b in zip(self.grid, self.grid[1:])]
-        if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-            raise ValueError("sweep grid must be strictly monotone")
-        # each grid scenario must satisfy the config invariants up front
-        problems = []
-        for v in self.grid:
-            try:
-                scenario_at(self.base, self.parameter, v)
-            except ValueError as exc:
-                problems.append(f"{self.parameter}={v}: {exc}")
-        if problems:
-            raise ConfigError(problems)
-
-
-def _sweep_row(spec: SweepSpec, value) -> dict:
-    sc = scenario_at(spec.base, spec.parameter, value)
+def _sweep_row(parameter: str, value, sc: ScenarioConfig) -> dict:
     rep = detect_convergence(simulate(sc.game(), sc.initial_mixed_profile(),
                                       sc.solver, sc.gamma))
     # providers 1 and 2, where they exist: perfbench pins the three-provider header
     shown = range(min(2, len(sc.eips)))
     return {
-        spec.parameter: value,
+        parameter: value,
         **{f"x{i + 1}_last": float(rep.equilibrium.blocks[i][-1]) for i in shown},
         **{f"u{i + 1}": rep.utilities[i] for i in shown},
         "t_adjacency": rep.t_adjacency,
@@ -82,9 +59,26 @@ def _sweep_row(spec: SweepSpec, value) -> dict:
     }
 
 
-def run_sweep(spec: SweepSpec) -> list[dict]:
-    """One row per grid value, computed in grid order on the calling thread."""
-    return [_sweep_row(spec, v) for v in spec.grid]
+def run_sweep(base: ScenarioConfig, parameter: str, grid: Sequence) -> list[dict]:
+    """One row per value of the nonempty, strictly monotone `grid`: the run
+    of `scenario_at(base, parameter, value)`.  Every grid scenario is built
+    once, and a ConfigError names each invalid one before any row runs.
+    Rows run in grid order on the calling thread."""
+    _field_name(parameter)
+    if len(grid) == 0:
+        raise ValueError("sweep grid must be nonempty")
+    diffs = [b - a for a, b in zip(grid, grid[1:])]
+    if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
+        raise ValueError("sweep grid must be strictly monotone")
+    scenarios, problems = [], []
+    for v in grid:
+        try:
+            scenarios.append(scenario_at(base, parameter, v))
+        except ValueError as exc:
+            problems.append(f"{parameter}={v}: {exc}")
+    if problems:
+        raise ConfigError(problems)
+    return [_sweep_row(parameter, v, sc) for v, sc in zip(grid, scenarios)]
 
 
 def kernel_study(alpha_set: Sequence[float], deltas: Sequence[float]) -> list[dict]:

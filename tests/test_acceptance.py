@@ -21,7 +21,7 @@ from cefsim.fractional import SolverConfig, mittag_leffler, solve_fde_ivp, \
 from cefsim.game import (EipConfig, FederationGame, MixedStrategyProfile,
                          TaskSpec, joint_assignment_pmf, recovery_pmf)
 from cefsim.config import ScenarioConfig
-from cefsim.experiments import SweepSpec, run_sweep
+from cefsim.experiments import run_sweep
 
 GAMMA = 0.42  # bundled-scenario adaptation speed
 BUNDLED = Path(__file__).resolve().parents[1] / "src/cefsim/data/canonical_scenario.json"
@@ -237,8 +237,8 @@ def test_criterion_7_sweep_trends():
     task12 = TaskSpec(12, 4, 30, 30, 10, 1e6, 1.0)
 
     def sweep(param, grid, eips=EIPS, tasks=(TASK,)):
-        return run_sweep(SweepSpec(param, tuple(grid), ScenarioConfig(
-            eips, tasks, sweep_solver, gamma, utilization_cost_literal=True)))
+        return run_sweep(ScenarioConfig(eips, tasks, sweep_solver, gamma,
+                                        utilization_cost_literal=True), param, tuple(grid))
 
     checks = []
     rows = sweep("W1", range(450, 901, 50))

@@ -243,6 +243,19 @@ def test_settling_trajectory_times():
     assert t_nbr is not None and t_nbr <= t_adj
 
 
+def test_settling_boundaries():
+    # only the last step moves >= 1e-4: never quiescent, but always near the end
+    states = [[0.4, 0.6]] * 49 + [[0.4002, 0.5998]]
+    assert _detect_times(states) == (None, 0.0)
+    # the last sample before the terminal is >= 0.01 away from it
+    states = [[0.4, 0.6]] * 49 + [[0.42, 0.58]]
+    assert _detect_times(states) == (None, None)
+    # geometric approach: the deviation from the terminal last reaches 0.01
+    # at sample 3, a step last moves 1e-4 at step 9
+    states = [[0.4 + 0.1 * 0.5 ** i, 0.6 - 0.1 * 0.5 ** i] for i in range(50)]
+    assert _detect_times(states) == (9 * 0.01, 3 * 0.01)
+
+
 def test_report_fields_on_real_run(game, classical_run):
     rep = detect_convergence(classical_run)
     assert isinstance(rep, EquilibriumReport)

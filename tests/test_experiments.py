@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import threading
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from cefsim import experiments
 from cefsim.config import ConfigError, ScenarioConfig
 from cefsim.evolution import detect_convergence, simulate
-from cefsim.experiments import SweepSpec, kernel_study, run_sweep, scenario_at
+from cefsim.experiments import SWEEPABLE, kernel_study, run_sweep, scenario_at
 from cefsim.fractional import SolverConfig
 from cefsim.game import EipConfig, TaskSpec
 
@@ -17,23 +18,48 @@ FAST = SolverConfig(alpha=1.0, horizon=1.0, steps=1500)
 BASE = ScenarioConfig(EIPS, TASKS, FAST, 0.42, utilization_cost_literal=True)
 
 
-def _spec(param, grid, base=BASE):
-    return SweepSpec(param, tuple(grid), base)
+def _sweep(param, grid, base=BASE):
+    return run_sweep(base, param, tuple(grid))
 
 
-def test_spec_validation():
+def test_sweep_validation():
     with pytest.raises(ValueError, match="unknown sweep parameter"):
-        _spec("W2", (1, 2))
+        _sweep("W2", (1, 2))
     with pytest.raises(ValueError, match="nonempty"):
-        _spec("r1", ())
+        _sweep("r1", ())
     with pytest.raises(ValueError, match="monotone"):
-        _spec("r1", (10, 30, 20))
+        _sweep("r1", (10, 30, 20))
     # every grid value that breaks a scenario invariant is named up front
     with pytest.raises(ConfigError) as exc:
-        _spec("n", (4.5, 5, 6.0))
+        _sweep("n", (4.5, 5, 6.0))
     assert [p.split(":")[0] for p in exc.value.problems] == ["n=4.5", "n=6.0"]
     with pytest.raises(ConfigError, match=r"alpha=2.5: alpha must be in \(0, 2\)"):
-        _spec("alpha", (0.5, 2.5))
+        _sweep("alpha", (0.5, 2.5))
+
+
+def test_each_grid_scenario_built_once(monkeypatch):
+    built, rows, at = [], [], experiments.scenario_at
+    monkeypatch.setattr(experiments, "scenario_at",
+                        lambda *args: built.append(args[2]) or at(*args))
+    monkeypatch.setattr(experiments, "_sweep_row", lambda *args: rows.append(args))
+    _sweep("r1", (20, 30, 40))
+    assert built == [20, 30, 40]
+    assert rows == [("r1", v, at(BASE, "r1", v)) for v in (20, 30, 40)]
+
+
+def test_invalid_last_grid_value_runs_no_row(monkeypatch):
+    seen = []
+    monkeypatch.setattr(experiments, "_sweep_row", lambda *args: seen.append(args))
+    with pytest.raises(ConfigError, match=r"alpha=2.5: alpha must be in \(0, 2\)"):
+        _sweep("alpha", (0.8, 1.0, 2.5))
+    assert seen == []
+
+
+@pytest.mark.parametrize("param", ["W2", "gamma"])
+def test_scenario_at_rejects_unknown_parameter(param):
+    with pytest.raises(ValueError, match=f"unknown sweep parameter '{param}'; "
+                                         f"choose from {re.escape(str(SWEEPABLE))}"):
+        scenario_at(BASE, param, 1)
 
 
 def test_scenario_substitution():
@@ -48,7 +74,7 @@ def test_scenario_substitution():
 
 
 def test_sweep_rows_in_grid_order():
-    rows = run_sweep(_spec("r1", (20, 40)))
+    rows = _sweep("r1", (20, 40))
     assert [r["r1"] for r in rows] == [20, 40]
     assert all(0 <= r["x1_last"] <= 1 for r in rows)
     assert rows[0]["u2"] < rows[1]["u2"]
@@ -57,24 +83,22 @@ def test_sweep_rows_in_grid_order():
 def test_sweep_rows_run_on_calling_thread(monkeypatch):
     # every row runs in grid order on the caller
     seen, row = [], experiments._sweep_row
-    def recording_row(spec, value):
+    def recording_row(parameter, value, scenario):
         seen.append((value, threading.get_ident()))
-        return row(spec, value)
+        return row(parameter, value, scenario)
     monkeypatch.setattr(experiments, "_sweep_row", recording_row)
-    spec = _spec("r1", (20, 30, 40),
-                 dataclasses.replace(BASE, solver=dataclasses.replace(FAST, steps=100)))
-    rows = run_sweep(spec)
+    rows = _sweep("r1", (20, 30, 40),
+                  dataclasses.replace(BASE, solver=dataclasses.replace(FAST, steps=100)))
     assert [r["r1"] for r in rows] == [20, 30, 40]
     assert seen == [(v, threading.get_ident()) for v in (20, 30, 40)]
 
 
 def test_sweep_deterministic():
-    spec = _spec("W1", (500, 600))
-    assert run_sweep(spec) == run_sweep(spec)
+    assert _sweep("W1", (500, 600)) == _sweep("W1", (500, 600))
 
 
 def test_sweep_rows_near_equilibrium():
-    for row in run_sweep(_spec("r1", (30,))):
+    for row in _sweep("r1", (30,)):
         assert row["residual"] <= 10 * 1e-4 / FAST.h
 
 
@@ -82,7 +106,7 @@ def test_alpha_sweep_matches_direct_runs():
     # the alpha sweep replaces the old convergence study; each row is a
     # plain simulate run of the base scenario at that order, bit for bit
     grid = (1.0, 0.8)
-    rows = run_sweep(_spec("alpha", grid))
+    rows = _sweep("alpha", grid)
     assert [r["alpha"] for r in rows] == list(grid)
     for row, a in zip(rows, grid):
         rep = detect_convergence(simulate(BASE.game(), BASE.initial_mixed_profile(),

@@ -17,14 +17,18 @@ imports cefsim from that tree's `src/` and nowhere else:
   and `sweep --param alpha --grid 0.8:1:0.1`;
 - `kernel --alphas 0.65,0.8,1.2`;
 - `simulate` of a one-provider (provider 2 removed) and a three-provider
-  (a third provider added) variant of the bundled scenario, and `field
-  --grid-spec 0.3:0.5:0.1 --stride 50` of each variant at 1000 steps;
+  (a third provider added) variant of the bundled scenario, and, of each
+  variant at 1000 steps, `field --grid-spec 0.3:0.5:0.1 --stride 50` and
+  a sweep: `sweep --param r1 --grid 10:30:10` of the one-provider
+  variant, `sweep --param k --grid 2:4:1` of the three-provider one;
 - two numerical aborts (exit 2): `simulate` of the bundled scenario with
   provider 1 saturated (capacity == num_clouds * max_workers, starting at
   its all-max share), and at gamma 1e300 with 200 steps;
-- six invalid inputs: `simulate` of the bundled scenario with a field
+- seven invalid inputs: `simulate` of the bundled scenario with a field
   missing, an unknown field, a mistyped field, out-of-range fields and a
-  bad `initial_profile`, and a `W1` sweep whose grid breaks provider 1.
+  bad `initial_profile`, a `W1` sweep whose grid breaks provider 1, and
+  `sweep --param n --grid 4:6:0.5`, whose values 4.5 and 5.5 are not
+  integers.
 
 The two trees' runs of one command go side by side, one process each.
 Every file a command writes and its exit code must be the same for both
@@ -90,6 +94,10 @@ PROVIDERS = {
 }
 
 
+# the sweep (parameter, grid) run on each variant of PROVIDERS
+PROVIDER_SWEEPS = {"1p": ("r1", "10:30:10"), "3p": ("k", "2:4:1")}
+
+
 # edits of the bundled scenario that make its run abort on a non-finite state
 ABORTS = {
     "saturation": lambda doc: (
@@ -137,6 +145,8 @@ def commands(src: Path, work: Path) -> dict[str, tuple[list[str], bool]]:
             edit(doc), doc["solver"].update(steps=1000)))
         cmds[f"field-{name}"] = (["field", str(cfg), "--grid-spec", "0.3:0.5:0.1",
                                   "--stride", "50"], False)
+        param, grid = PROVIDER_SWEEPS[name]
+        cmds[f"sweep-{name}"] = (["sweep", str(cfg), "--param", param, "--grid", grid], False)
     for name, edit in ABORTS.items():
         cmds[f"abort-{name}"] = (["simulate", str(_bundled(src, work, name, edit))], False)
     for name, edit in INVALID.items():
@@ -144,6 +154,8 @@ def commands(src: Path, work: Path) -> dict[str, tuple[list[str], bool]]:
     # E1 * L1 = 400: a capacity of 300 breaks provider 1
     cmds["invalid-sweep-grid"] = (["sweep", str(bundled), "--param", "W1",
                                    "--grid", "300:400:100"], True)
+    cmds["invalid-sweep-n"] = (["sweep", str(bundled), "--param", "n", "--grid", "4:6:0.5"],
+                               True)
     return cmds
 
 
