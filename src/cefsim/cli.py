@@ -171,6 +171,10 @@ def _field_grid(config: ScenarioConfig, values) -> list[MixedStrategyProfile]:
 def cmd_field(args) -> int:
     config, run = _scenarios(args)
     values = _parse_grid(args.grid_spec)
+    bad = [v for v in values if not 0 <= v <= 1]
+    if bad:
+        raise ValueError(f"field grid values are last-strategy shares and must lie in "
+                         f"[0, 1], got {', '.join(map(str, bad))}")
     starts = len(values) ** len(run.eips)
     if starts > MAX_GRID_VALUES:
         raise ValueError(f"field must have at most {MAX_GRID_VALUES} starts, got {starts} "

@@ -4,10 +4,21 @@ Provides the power-law memory weight, an L1-type Caputo derivative
 estimator, the Mittag-Leffler function (used as a solver oracle), and an
 Adams-Bashforth-Moulton predictor-corrector for systems of Caputo
 fractional differential equations of order 0 < alpha < 2 (started at
-rest, x'(0) = 0, when alpha > 1).  The solver sums the recent history
-directly and, with full memory, the older history by FFT convolution
-over dyadic blocks, so an N-step run costs O(N log^2 N) in its history
-sums rather than O(N^2).
+rest, x'(0) = 0, when alpha > 1).
+
+The solver sums the last FAR_BLOCK = 64 steps of its history directly.
+With full memory the older history is kernel-compressed (Lubich and
+Schaedle, 2002; Jiang, Zhang, Zhang and Zhang, 2017): `far_field_modes`
+writes its quadrature weights as a short sum of K decaying exponentials,
+each one mode of the history updated by a recurrence, so an N-step run
+costs O(N K) in its history sums and keeps O(K) rows beyond its
+trajectory (K = 37-38, 45-46 and 53-54 at 10^3, 10^4 and 10^5 steps).
+The modes carry the exact weights, to rounding: full-memory trajectories
+of the bundled scenario at 10^4 steps lie within 4e-15 of direct sums
+with exact weights, and 1.2e-10 at most from those of the FFT far field
+this replaced, whose closed-form weights cancel at long distances.  A
+`memory_truncation` window drops the far part and sums its whole window
+directly.
 """
 
 from __future__ import annotations
@@ -165,63 +176,159 @@ def _left_weight(j: int, a: float) -> float:
     return j ** (a + 1) - (j - a) * (j + 1) ** a
 
 
-# length unit of the directly summed near history in full-memory runs;
-# 32 to 512 time alike on a 10^4-step run
+# distances below this many steps are summed directly in full-memory runs,
+# the older history by exponential modes
 FAR_BLOCK = 64
-# block length times columns of one far-field FFT group
-FFT_GROUP = 1 << 14
 # steps whose corrector and postprocess diagnostics are computed together
 DIAG_BLOCK = 64
+# steps whose far sums one matrix product computes; at most FAR_BLOCK, so
+# that every source of the block is known at its first step, and small, so
+# that the far field's matrices stay a few kB
+_MODE_BLOCK = 16
+# the exponential sum of the far weights: a trapezoid rule of this step in
+# x along rate = exp(x - exp(-x)) / steps, from where the integrand has
+# fallen by exp(-36) until a mode decays by exp(-45) over FAR_BLOCK steps
+_TRAPEZOID_STEP = 0.28
+# rates below this, over the steps of a run, decay by less than a rounding
+# in the run and merge into one mode of rate _CONSTANT
+_SLOW = 1e-18
+_CONSTANT = 1e-300
 
 
-class _FarHistory:
-    """Far-field history sums of a full-memory solve, by FFT convolution.
+def _power_step(p: float, d: int) -> float:
+    """(d + 1)^p - d^p to a few ulp, for d >= 1."""
+    return d ** p * math.expm1(p * math.log1p(1 / d))
 
-    Row t of `pred` and `corr` holds sum_{m < lo} w[t - m] f_m with
-    lo = FAR_BLOCK * floor(t / FAR_BLOCK), for the predictor weights
-    w = b and the interior corrector weights w = ac; `corr` leaves out
-    m = 0, whose exact weight depends on t.  Once n samples are known,
-    n a multiple of FAR_BLOCK, `add_block(n)` convolves the source block
-    f[n - L:n], L = FAR_BLOCK * lowbit(n / FAR_BLOCK), into the targets
-    [n, n + L): the iterative form of the triangle/square recursion of
-    Hairer, Lubich and Schlichte (1985), as surveyed by Garrappa (2018).
-    The blocks of one target tile [0, lo) exactly, like the binary digits
-    of lo / FAR_BLOCK.
+
+def far_field_modes(alpha: float, steps: int
+                    ) -> tuple[np.ndarray, np.ndarray, Optional[tuple[float, float]]]:
+    """Exponential sum of the far quadrature weights of a full-memory solve.
+
+    Returns (rates, weights, anchors).  For 0 < alpha < 1 (anchors None)
+    the predictor and corrector weights b[d], ac[d] of `solve_fde_ivp`
+    are, for FAR_BLOCK <= d <= steps, sum_k weights[i, k] exp(-rates[k] d)
+    (i = 0 for b, 1 for ac).  For alpha >= 1 the weights grow like
+    d^(alpha - 1), which no decaying sum represents, but their differences
+    decay like d^(alpha - 2): the sums give b[d] - b[d - 1] and
+    ac[d] - ac[d - 1] for FAR_BLOCK < d <= steps, and anchors holds
+    b[FAR_BLOCK] and ac[FAR_BLOCK].  At alpha = 1 the weights are the
+    constants 1 and 2, and there are no modes.
+
+    The sums are quadratures of the weights' Laplace representation.  With
+    beta = alpha - floor(alpha) and c(lam) = (1 - exp(-lam)) / lam, b is
+    alpha / gamma(1 - beta) times the integral over lam > 0 of
+    lam^(-beta) c(lam) exp(-lam d) for alpha < 1, and its difference is
+    alpha (alpha - 1) / gamma(1 - beta) times that of
+    lam^(-beta) c(lam) (exp(lam) - 1) / lam exp(-lam d) for alpha > 1; the
+    density of ac is (alpha + 1) c(lam) times that of b.  In the variable
+    x of lam = exp(x - exp(-x)) / steps the integrand falls doubly
+    exponentially at both ends, so the trapezoid rule converges
+    geometrically.  The relative error is below 3e-14 for every alpha and
+    steps up to 10^5 tested, with 37-38, 45-46 and 53-54 modes at 10^3, 10^4
+    and 10^5 steps.
+    """
+    if alpha == 1.0:
+        return np.empty(0), np.empty((2, 0)), (1.0, 2.0)
+    beta = alpha % 1.0
+    x = np.arange(-math.log(36 / (1 - beta)), math.log(45 / FAR_BLOCK * steps) + 1,
+                  _TRAPEZOID_STEP)
+    # in logs: near alpha = 1 or 2 the lowest rates underflow, yet weigh
+    log_lam = x - np.exp(-x) - math.log(steps)
+    w = _TRAPEZOID_STEP * np.exp((1 - beta) * log_lam) * (1 + np.exp(-x))
+    lam = np.exp(log_lam)
+    keep = lam * FAR_BLOCK < 45
+    lam, w = lam[keep], w[keep]
+    slow = lam * steps < _SLOW
+    lam = np.concatenate([[_CONSTANT], lam[~slow]])
+    w = np.concatenate([[w[slow].sum()], w[~slow]])
+    c = -np.expm1(-lam) / lam
+    if alpha < 1:
+        wb = alpha / math.gamma(1 - beta) * w * c
+        return lam, np.stack([wb, (alpha + 1) * c * wb]), None
+    wb = alpha * (alpha - 1) / math.gamma(1 - beta) * w * c * np.expm1(lam) / lam
+    anchors = (_power_step(alpha, FAR_BLOCK),
+               _power_step(alpha + 1, FAR_BLOCK + 1) - _power_step(alpha + 1, FAR_BLOCK))
+    return lam, np.stack([wb, (alpha + 1) * c * wb]), anchors
+
+
+class _FarField:
+    """Far-field history sums of a full-memory solve, _MODE_BLOCK steps at
+    a time.
+
+    At step j >= FAR_BLOCK the far samples are m <= M = j - FAR_BLOCK.
+    Sample 0 carries its exact weights, b[j] in the predictor and
+    `_left_weight(j, a)` in the corrector.  The samples m >= 1 carry b and
+    ac, whose exponential sum (`far_field_modes`) turns their sums into K
+    modes z_k(n) = sum_{1 <= m <= n} exp(-rate_k (n - m)) g_m read at
+    n = j - lag.  For alpha < 1 the source g is f and lag = FAR_BLOCK.
+    For alpha >= 1 the source is the running sum S_m = f_1 + ... + f_m
+    and lag = FAR_BLOCK + 1, since summation by parts gives
+    sum_{m=1}^M b[j - m] f_m = b[FAR_BLOCK] S_M
+    + sum_{m=1}^{M-1} (b[j - m] - b[j - m - 1]) S_m, and likewise for ac.
+
+    The sources of a block of B = _MODE_BLOCK steps are all known when its
+    first step starts.  One matrix product (`read`) then gives the block's
+    far sums from `state`: the modes at the block's start, decayed to each
+    step; the block's own sources, by the same kernel at the shorter
+    distances; the anchor terms; and sample 0.  A second product (`move`)
+    carries the modes over the block.  Their decay over B steps is applied
+    as one factor per block, so a mode's weight drifts by at most one
+    rounding per block, not one per step.  Rows of `state`: the K modes,
+    the sources g_n0 .. g_(n0 + B) with n0 = (block start) - lag, and f_0.
     """
 
-    def __init__(self, b: np.ndarray, ac: np.ndarray, fhist: np.ndarray, steps: int):
-        self.b, self.ac, self.fhist, self.steps = b, ac, fhist, steps
-        self.pred = np.zeros((steps, fhist.shape[1]))
-        self.corr = np.zeros((steps, fhist.shape[1]))
-        self._spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    def __init__(self, a: float, steps: int, dim: int):
+        rates, weights, anchors = far_field_modes(a, steps)
+        B, k = _MODE_BLOCK, rates.size
+        self.a, self.k = a, k
+        self.differenced = anchors is not None
+        self.lag = FAR_BLOCK + self.differenced
+        # decay[n, k] = exp(-rate_k n), n = 0 .. B
+        decay = np.exp(-np.arange(B + 1.0)[:, None] * rates)
+        w = weights * np.exp(-rates * self.lag)
+        # rows 0..B-1: the predictor sums of the block's steps; B..2B-1: the
+        # corrector ones.  Step r sees the modes decayed over r + 1 steps,
+        # its block's sources l <= r at distance lag + r - l, and for
+        # alpha >= 1 the anchor times S at distance FAR_BLOCK
+        self.read = np.zeros((2 * B, k + B + 2))
+        for half, wi, anchor in zip((0, B), w, anchors or (0.0, 0.0)):
+            kernel = np.sum(decay[:B] * wi, axis=1)
+            for r in range(B):
+                row = self.read[half + r]
+                row[:k] = decay[r + 1] * wi
+                row[k:k + r + 1] = kernel[r::-1]
+                row[k + r + 1] = anchor
+        self.decay = np.repeat(decay[B][:, None], dim, axis=1)
+        self.move = decay[B - 1::-1].T
+        self.state = np.zeros((k + B + 2, dim))
+        self.block = np.empty((2 * B, dim))
+        self.running = np.zeros(dim)   # S_(n0 - 1)
 
-    def add_block(self, n: int) -> None:
-        q = n // FAR_BLOCK
-        L = FAR_BLOCK * (q & -q)
-        hi = min(n + L, self.steps)
-        if hi <= n:
-            return
-        # distances t - m run over [1, 2L), so a size-2L FFT does not wrap
-        size = 2 * L
-        if L not in self._spectra:
-            self._spectra[L] = (np.fft.rfft(self.b[:size], size)[:, None],
-                                np.fft.rfft(self.ac[:size], size)[:, None])
-        wb, wac = self._spectra[L]
-        src = self.fhist[n - L:n]
-        # one FFT per group of columns, each column transformed as on its
-        # own; a group's input, spectra and output hold about
-        # 64 * L * width bytes, near 1 MB
-        width = max(1, FFT_GROUP // L)
-        for c in range(0, src.shape[1], width):
-            cols = slice(c, c + width)
-            group = src[:, cols]
-            spec = np.fft.rfft(group, size, axis=0)
-            self.pred[n:hi, cols] += np.fft.irfft(spec * wb, size, axis=0)[L:L + hi - n]
-            if n == L:  # the first block: sample 0 is left out of `corr`
-                group = group.copy()
-                group[0] = 0.0
-                spec = np.fft.rfft(group, size, axis=0)
-            self.corr[n:hi, cols] += np.fft.irfft(spec * wac, size, axis=0)[L:L + hi - n]
+    def sums(self, j: int, fhist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The far predictor and corrector sums of step j >= FAR_BLOCK."""
+        B, k, a = _MODE_BLOCK, self.k, self.a
+        i = (j - FAR_BLOCK) % B
+        if i == 0:
+            n0 = j - self.lag
+            src = self.state[k:k + B + 1]
+            first = max(n0, 1)
+            src[:first - n0] = 0.0
+            src[first - n0:] = fhist[first:n0 + B + 1]
+            if self.differenced:
+                np.cumsum(src, axis=0, out=src)
+                src += self.running
+                self.running[:] = src[B - 1]
+            t = np.arange(j, j + B, dtype=float)
+            self.read[:B, -1] = (t + 1) ** a - t ** a   # b[t]
+            self.read[B:, -1] = [_left_weight(u, a) for u in range(j, j + B)]
+            self.state[-1] = fhist[0]
+            # einsums, not BLAS matrix products: with OpenBLAS on x86-64 the
+            # first matrix product of a process leaves about 0.25 MB resident
+            np.einsum("ic,cd->id", self.read, self.state, out=self.block)
+            modes = self.state[:k]
+            modes *= self.decay
+            modes += np.einsum("kl,ld->kd", self.move, src[:B])
+        return self.block[i], self.block[B + i]
 
 
 def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverConfig,
@@ -231,11 +338,11 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
 
     Fractional Adams-Bashforth-Moulton predictor-corrector on the
     equivalent Volterra integral form.  The history sums at step j split
-    at `lo`: the near part over [lo, j] is summed directly, and with full
-    memory (lo = FAR_BLOCK * floor(j / FAR_BLOCK)) the far part over
-    [0, lo) comes from FFT-convolved dyadic blocks, so the quadrature
-    costs O(N log^2 N).  A window (`memory_truncation` < steps) sets
-    lo = j + 1 - window and drops the far part.  A non-finite corrector
+    at lo = j + 1 - near: the near part over [lo, j] is summed directly,
+    with near = FAR_BLOCK for full memory and near = `memory_truncation`
+    for a window shorter than the run.  With full memory the far part
+    over [0, lo) comes from `_FarField`'s exponential modes, O(K) per
+    step; a window drops it.  A non-finite corrector
     output aborts the solve with FdeAbortError.  `postprocess`, when
     given, then maps each accepted state back into the admissible set
     before it enters the history.  `rhs` is passed rows of the solver's
@@ -247,16 +354,24 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
     h = config.h
     times = np.linspace(0.0, config.horizon, N + 1)
 
-    # quadrature weights indexed by step distance d = j - m
-    d = np.arange(N + 1, dtype=float)
+    window = config.memory_truncation
+    # a window that covers every step is full memory
+    full = window is None or window >= N
+    near = FAR_BLOCK if full else window
+    span = min(N, near)
+
+    # quadrature weights indexed by step distance d = j - m <= span
+    d = np.arange(span + 1, dtype=float)
     b = (d + 1) ** a - d ** a                                   # predictor
     ac = (d + 2) ** (a + 1) + d ** (a + 1) - 2 * (d + 1) ** (a + 1)  # corrector, interior
     # 0-d arrays: an in-place product with one skips the scalar conversion
     c_pred = np.array(h ** a / math.gamma(a + 1))
     c_corr = np.array(h ** a / math.gamma(a + 2))
-    # reversed views: b_rev[N + 1 - m:] is b[:m][::-1], the same strided view
+    # reversed views: b_rev[span + 1 - m:] is b[:m][::-1], the same strided view
     b_rev, ac_rev = b[::-1], ac[::-1]
 
+    # built first: its set-up temporaries then do not add to the peak memory
+    far = _FarField(a, N, x0.size) if full and N > FAR_BLOCK else None
     states = np.empty((N + 1, x0.size))
     fhist = np.empty((N + 1, x0.size))
     resid = np.zeros(N + 1)
@@ -271,28 +386,25 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
     states[0] = x0
     fhist[0] = rhs(x0)
 
-    window = config.memory_truncation
-    # a window that covers every step is full memory
-    far = _FarHistory(b, ac, fhist, N) if window is None or window >= N else None
-
     for j in range(N):
         r = j % DIAG_BLOCK
-        lo = max(0, j + 1 - window) if far is None else j - j % FAR_BLOCK
+        lo = max(0, j + 1 - near)
 
         # predictor: fractional rectangle rule over the near history
-        wp = b_rev[N - j + lo:]
+        wp = b_rev[span - j + lo:]
         hp = wp @ fhist[lo:j + 1]
 
         # corrector: fractional trapezoid weights; sample 0 carries the
         # exact left-endpoint weight, a later oldest near sample the
         # interior one
-        wc = ac_rev[N + 1 - j + lo:]
+        wc = ac_rev[span + 1 - j + lo:]
         hist = wc @ fhist[lo + 1:j + 1] if j > lo else 0.0
         a0 = _left_weight(j, a) if lo == 0 else ac[j - lo]
         hist = hist + a0 * fhist[lo]
         if far is not None and lo:
-            hp += far.pred[j]
-            hist += far.corr[j] + _left_weight(j, a) * fhist[0]
+            pred, corr = far.sums(j, fhist)
+            hp += pred
+            hist += corr
         # x0 is the free part of the Volterra equation at every t_{j+1}:
         # x_p = x0 + c_pred * hp, x_c = x0 + c_corr * (hist + f(x))
         # (out arguments positional: a ufunc keyword costs ~0.1 us a call)
@@ -309,8 +421,6 @@ def solve_fde_ivp(rhs: Callable[[np.ndarray], np.ndarray], x0, config: SolverCon
             xc = postprocess(xc)
         states[j + 1] = xc
         fhist[j + 1] = rhs(xc)
-        if far is not None and (j + 2) % FAR_BLOCK == 0:
-            far.add_block(j + 2)
         if r == DIAG_BLOCK - 1 or j == N - 1:
             # the inf-norms of the last corrector updates, then of the
             # postprocess changes, of steps j - r .. j, computed in place

@@ -343,6 +343,20 @@ def test_cli_field(tmp_path, fast_config):
     assert (out / "field.svg").exists()
 
 
+@pytest.mark.parametrize("grid,bad", [("0.5:1.5:0.5", "1.5"), ("-0.2:0.2:0.2", "-0.2")])
+def test_cli_field_rejects_grid_value_outside_unit_interval(tmp_path, fast_config, capsys,
+                                                            grid, bad):
+    # a grid value is a last-strategy share: the error names the value,
+    # not the profile block it would have produced
+    out = tmp_path / "f"
+    code = main(["field", str(fast_config), f"--grid-spec={grid}", "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"must lie in [0, 1], got {bad}\n" in err
+    assert "block" not in err
+    assert not out.exists()
+
+
 def test_cli_kernel(tmp_path):
     out = tmp_path / "k"
     code = main(["kernel", "--alphas", "0.65,0.8", "--deltas", "0.01:0.05:0.01",

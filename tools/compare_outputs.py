@@ -35,13 +35,18 @@ Every file a command writes and its exit code must be the same for both
 trees; for the invalid inputs, so must stderr, with each tree's
 directory under the temporary directory replaced by a placeholder.  Exits 0 when all are identical and 1 otherwise, after naming
 each difference; the outputs are then kept in a temporary directory,
-whose path is printed, and removed otherwise.
+whose path is printed, and removed otherwise.  For a differing .csv or
+.json file it also prints the largest absolute difference between
+corresponding numbers, or that the shapes differ (different keys, text,
+row or list lengths), so that a rounding-level change reads apart from a
+model change.
 """
 
 from __future__ import annotations
 
 import filecmp
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -188,8 +193,61 @@ def differences(label: str, a: Path, b: Path, code_a: int, code_b: int,
         found.append(f"{label}: {rel} written by only one tree")
     for rel in sorted(files_a & files_b):
         if not filecmp.cmp(a / rel, b / rel, shallow=False):
-            found.append(f"{label}: {rel} differs")
+            found.append(f"{label}: {rel} differs{_number_gap(a / rel, b / rel)}")
     return found
+
+
+def _leaves(doc):
+    """A parsed JSON document in document order: each number as a float,
+    everything else (keys, list lengths, other values) as a tagged tuple."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield ("key", key)
+            yield from _leaves(value)
+    elif isinstance(doc, list):
+        yield ("list", len(doc))
+        for value in doc:
+            yield from _leaves(value)
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield float(doc)
+    else:
+        yield ("value", doc)
+
+
+def _shape_and_numbers(path: Path) -> tuple[list, list[float]]:
+    """A .json or .csv file as its numbers in reading order and its shape:
+    the rest, with None in each number's place."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        items = list(_leaves(json.loads(text)))
+    else:
+        items = [field for line in text.splitlines() for field in line.split(",")]
+    shape, numbers = [], []
+    for item in items:
+        try:
+            numbers.append(float(item))
+            shape.append(None)
+        except (TypeError, ValueError):
+            shape.append(item)
+    return shape, numbers
+
+
+def _gap(x: float, y: float) -> float:
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    d = abs(x - y)
+    return math.inf if math.isnan(d) else d
+
+
+def _number_gap(a: Path, b: Path) -> str:
+    """For a differing .json or .csv file, the largest absolute difference
+    between corresponding numbers, or that the shapes differ."""
+    if a.suffix not in (".json", ".csv"):
+        return ""
+    (shape_a, nums_a), (shape_b, nums_b) = _shape_and_numbers(a), _shape_and_numbers(b)
+    if shape_a != shape_b:
+        return " (shapes differ)"
+    return f" (max abs difference {max(map(_gap, nums_a, nums_b), default=0.0):.3g})"
 
 
 def main(argv=None) -> int:
