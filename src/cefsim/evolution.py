@@ -117,10 +117,11 @@ def detect_convergence(traj: Trajectory) -> EquilibriumReport:
     x_star = traj.terminal
 
     # max |x[j] - x[j-1]| of steps j = 1 .. n_steps, at the times they end
-    changes = np.max(np.abs(np.diff(traj.states, axis=0)), axis=1)
-    t_adj = _last_violation(changes, ADJACENCY_THRESHOLD, traj.times[1:])
-    dev = np.max(np.abs(traj.states[:-1] - traj.states[-1]), axis=1)
-    t_nbr = _last_violation(dev, NEIGHBORHOOD_THRESHOLD, traj.times[:-1])
+    buf = np.diff(traj.states, axis=0)   # reused, as is `peak`, for the deviations
+    peak = np.max(np.abs(buf, out=buf), axis=1)
+    t_adj = _last_violation(peak, ADJACENCY_THRESHOLD, traj.times[1:])
+    np.max(np.abs(np.subtract(traj.states[:-1], traj.states[-1], buf), out=buf), 1, out=peak)
+    t_nbr = _last_violation(peak, NEIGHBORHOOD_THRESHOLD, traj.times[:-1])
 
     utilities = tuple(traj.game.average_payoff(i, x_star) for i in range(len(traj.game.eips)))
     residual = float(np.max(np.abs(traj.game.rhs_flat(traj.states[-1], traj.gamma))))

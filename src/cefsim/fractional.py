@@ -13,12 +13,9 @@ writes its quadrature weights as a short sum of K decaying exponentials,
 each one mode of the history updated by a recurrence, so an N-step run
 costs O(N K) in its history sums and keeps O(K) rows beyond its
 trajectory (K = 37-38, 45-46 and 53-54 at 10^3, 10^4 and 10^5 steps).
-The modes carry the exact weights, to rounding: full-memory trajectories
-of the bundled scenario at 10^4 steps lie within 4e-15 of direct sums
-with exact weights, and 1.2e-10 at most from those of the FFT far field
-this replaced, whose closed-form weights cancel at long distances.  A
-`memory_truncation` window drops the far part and sums its whole window
-directly.
+Every far weight, sample 0's included, is exact to rounding: 10^4-step
+runs of the bundled scenario lie within 4e-15 of direct sums with exact
+weights.  A `memory_truncation` window drops the far part.
 """
 
 from __future__ import annotations
@@ -172,7 +169,7 @@ class FdeAbortError(RuntimeError):
 
 
 def _left_weight(j: int, a: float) -> float:
-    """Exact corrector weight of sample 0 at step j (the left endpoint)."""
+    """Closed-form corrector weight of sample 0 at step j (the left endpoint)."""
     return j ** (a + 1) - (j - a) * (j + 1) ** a
 
 
@@ -195,9 +192,16 @@ _SLOW = 1e-18
 _CONSTANT = 1e-300
 
 
-def _power_step(p: float, d: int) -> float:
-    """(d + 1)^p - d^p to a few ulp, for d >= 1."""
-    return d ** p * math.expm1(p * math.log1p(1 / d))
+def _binomial_tail(p: float, v, s: int, first: int):
+    """The sum over k >= first of C(p, k) s^k v^(p - k), for s = +-1 and
+    v >= FAR_BLOCK: (v + s)^p less its first binomial terms, without their
+    cancellation.  Twelve terms of the series reach rounding there."""
+    term = s ** first * v ** (p - first) * math.prod((p - k) / (k + 1) for k in range(first))
+    total = term
+    for k in range(first, first + 11):
+        term = term * (s * (p - k) / (k + 1)) / v
+        total = total + term
+    return total
 
 
 def far_field_modes(alpha: float, steps: int
@@ -211,8 +215,8 @@ def far_field_modes(alpha: float, steps: int
     d^(alpha - 1), which no decaying sum represents, but their differences
     decay like d^(alpha - 2): the sums give b[d] - b[d - 1] and
     ac[d] - ac[d - 1] for FAR_BLOCK < d <= steps, and anchors holds
-    b[FAR_BLOCK] and ac[FAR_BLOCK].  At alpha = 1 the weights are the
-    constants 1 and 2, and there are no modes.
+    b[FAR_BLOCK] and ac[FAR_BLOCK] from their binomial series.  At alpha = 1
+    the weights are the constants 1 and 2, and there are no modes.
 
     The sums are quadratures of the weights' Laplace representation.  With
     beta = alpha - floor(alpha) and c(lam) = (1 - exp(-lam)) / lam, b is
@@ -246,8 +250,8 @@ def far_field_modes(alpha: float, steps: int
         wb = alpha / math.gamma(1 - beta) * w * c
         return lam, np.stack([wb, (alpha + 1) * c * wb]), None
     wb = alpha * (alpha - 1) / math.gamma(1 - beta) * w * c * np.expm1(lam) / lam
-    anchors = (_power_step(alpha, FAR_BLOCK),
-               _power_step(alpha + 1, FAR_BLOCK + 1) - _power_step(alpha + 1, FAR_BLOCK))
+    anchors = (_binomial_tail(alpha, FAR_BLOCK, 1, 1),
+               sum(_binomial_tail(alpha + 1, FAR_BLOCK + 1, s, 2) for s in (1, -1)))
     return lam, np.stack([wb, (alpha + 1) * c * wb]), anchors
 
 
@@ -256,31 +260,32 @@ class _FarField:
     a time.
 
     At step j >= FAR_BLOCK the far samples are m <= M = j - FAR_BLOCK.
-    Sample 0 carries its exact weights, b[j] in the predictor and
-    `_left_weight(j, a)` in the corrector.  The samples m >= 1 carry b and
-    ac, whose exponential sum (`far_field_modes`) turns their sums into K
-    modes z_k(n) = sum_{1 <= m <= n} exp(-rate_k (n - m)) g_m read at
-    n = j - lag.  For alpha < 1 the source g is f and lag = FAR_BLOCK.
-    For alpha >= 1 the source is the running sum S_m = f_1 + ... + f_m
-    and lag = FAR_BLOCK + 1, since summation by parts gives
-    sum_{m=1}^M b[j - m] f_m = b[FAR_BLOCK] S_M
-    + sum_{m=1}^{M-1} (b[j - m] - b[j - m - 1]) S_m, and likewise for ac.
+    They carry b and ac, whose exponential sum (`far_field_modes`) turns
+    their sums into K modes z_k(n) = sum_{0 <= m <= n} exp(-rate_k (n - m))
+    g_m read at n = j - lag.  For alpha < 1 the source g is f and
+    lag = FAR_BLOCK.  For alpha >= 1 it is the running sum
+    S_m = f_0 + ... + f_m and lag = FAR_BLOCK + 1, since summation by parts
+    gives sum_{m=0}^M b[j - m] f_m = b[FAR_BLOCK] S_M
+    + sum_{m=0}^{M-1} (b[j - m] - b[j - m - 1]) S_m, and likewise for ac.
+    Sample 0's corrector weight, `_left_weight`, exceeds ac[j] by
+    delta[j] = v^(a+1) + (a+1) v^a - (v+1)^(a+1), v = j + 1, whose binomial
+    series gives it to rounding where the closed forms cancel.
 
     The sources of a block of B = _MODE_BLOCK steps are all known when its
     first step starts.  One matrix product (`read`) then gives the block's
     far sums from `state`: the modes at the block's start, decayed to each
     step; the block's own sources, by the same kernel at the shorter
-    distances; the anchor terms; and sample 0.  A second product (`move`)
-    carries the modes over the block.  Their decay over B steps is applied
-    as one factor per block, so a mode's weight drifts by at most one
-    rounding per block, not one per step.  Rows of `state`: the K modes,
+    distances; the anchor terms; and delta times f_0.  A second product
+    (`move`) carries the modes over the block.  Their decay over B steps is
+    applied as one factor per block, so a mode's weight drifts by at most
+    one rounding per block, not one per step.  Rows of `state`: the K modes,
     the sources g_n0 .. g_(n0 + B) with n0 = (block start) - lag, and f_0.
     """
 
     def __init__(self, a: float, steps: int, dim: int):
         rates, weights, anchors = far_field_modes(a, steps)
         B, k = _MODE_BLOCK, rates.size
-        self.a, self.k = a, k
+        self.k = k
         self.differenced = anchors is not None
         self.lag = FAR_BLOCK + self.differenced
         # decay[n, k] = exp(-rate_k n), n = 0 .. B
@@ -298,6 +303,8 @@ class _FarField:
                 row[:k] = decay[r + 1] * wi
                 row[k:k + r + 1] = kernel[r::-1]
                 row[k + r + 1] = anchor
+        # delta[t - FAR_BLOCK] for t = FAR_BLOCK .. steps + B - 1
+        self.delta = -_binomial_tail(a + 1, np.arange(FAR_BLOCK + 1.0, steps + B + 1), 1, 2)
         self.decay = np.repeat(decay[B][:, None], dim, axis=1)
         self.move = decay[B - 1::-1].T
         self.state = np.zeros((k + B + 2, dim))
@@ -306,21 +313,18 @@ class _FarField:
 
     def sums(self, j: int, fhist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The far predictor and corrector sums of step j >= FAR_BLOCK."""
-        B, k, a = _MODE_BLOCK, self.k, self.a
+        B, k = _MODE_BLOCK, self.k
         i = (j - FAR_BLOCK) % B
         if i == 0:
             n0 = j - self.lag
             src = self.state[k:k + B + 1]
-            first = max(n0, 1)
-            src[:first - n0] = 0.0
-            src[first - n0:] = fhist[first:n0 + B + 1]
+            # n0 >= -1, and at n0 = -1 (the first block) row 0 is still zero
+            src[-min(n0, 0):] = fhist[max(n0, 0):n0 + B + 1]
             if self.differenced:
                 np.cumsum(src, axis=0, out=src)
                 src += self.running
                 self.running[:] = src[B - 1]
-            t = np.arange(j, j + B, dtype=float)
-            self.read[:B, -1] = (t + 1) ** a - t ** a   # b[t]
-            self.read[B:, -1] = [_left_weight(u, a) for u in range(j, j + B)]
+            self.read[B:, -1] = self.delta[j - FAR_BLOCK:j - FAR_BLOCK + B]
             self.state[-1] = fhist[0]
             # einsums, not BLAS matrix products: with OpenBLAS on x86-64 the
             # first matrix product of a process leaves about 0.25 MB resident

@@ -60,8 +60,8 @@ def line_plot(path, xs: Sequence[float], series: dict[str, Sequence[float]],
         parts.append(f'<text x="{MARGIN - 6}" y="{tick + 4}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11">{value:.4g}</text>')
 
+    px = _scale(xs, x_lo, x_hi, MARGIN, WIDTH - MARGIN)
     for idx, (name, ys) in enumerate(series.items()):
-        px = _scale(xs, x_lo, x_hi, MARGIN, WIDTH - MARGIN)
         py = _scale(ys, y_lo, y_hi, HEIGHT - MARGIN, MARGIN)
         pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
         color = PALETTE[idx % len(PALETTE)]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,25 @@ def test_settling_boundaries():
     # at sample 3, a step last moves 1e-4 at step 9
     states = [[0.4 + 0.1 * 0.5 ** i, 0.6 - 0.1 * 0.5 ** i] for i in range(50)]
     assert _detect_times(states) == (9 * 0.01, 3 * 0.01)
+
+
+def test_detection_transient_stays_within_one_trajectory(game, uniform):
+    # the per-step changes and the deviations from the terminal of a
+    # 10^4-step run go through one buffer of the trajectory's size (two
+    # were alive at once before)
+    start, end = game.flat_state(uniform), np.zeros(14)
+    end[[0, 5]] = 1.0
+    states = end + np.outer(0.999 ** np.arange(10_001), start - end)
+    traj = _synthetic(states, h=1e-4)
+    traj.game = game
+    detect_convergence(traj)   # the game's first payoffs are not detection's
+    tracemalloc.start()
+    try:
+        detect_convergence(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * states.nbytes
 
 
 def test_report_fields_on_real_run(game, classical_run):

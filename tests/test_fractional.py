@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cefsim.fractional import (FAR_BLOCK, FdeAbortError, SolverConfig,
+from cefsim.fractional import (FAR_BLOCK, FdeAbortError, SolverConfig, _FarField,
                                caputo_derivative_estimate, far_field_modes, memory_weight,
                                mittag_leffler, solve_fde_ivp)
 
@@ -226,26 +226,29 @@ def test_determinism():
 # ------------------------------------------- far-field quadrature oracle
 
 def exact_weights(a, d):
-    """The predictor and corrector weights b[d], ac[d] for d >= 1, exact
-    to rounding: b[d] = a * integral_0^1 (d + u)^(a - 1) du and
-    ac[d] = a (a + 1) * integral_0^2 min(u, 2 - u) (d + u)^(a - 1) du by
-    20-point Gauss-Legendre on unit intervals (within 1e-15 relative of
-    50-digit values for d >= 64).  The closed-form differences lose
-    digits by cancellation as d grows: up to 9e-8 relative for ac at
-    d <= 3000 and alpha = 0.05."""
+    """The predictor and corrector weights b[d], ac[d] and sample 0's
+    corrector weight left[d] at step d, for d >= 1, exact to rounding:
+    b[d] = a * integral_0^1 (d + u)^(a - 1) du,
+    ac[d] = a (a + 1) * integral_0^2 min(u, 2 - u) (d + u)^(a - 1) du and
+    left[d] = a (a + 1) * integral_0^1 u (d + u)^(a - 1) du by 20-point
+    Gauss-Legendre on unit intervals (within 1e-15 relative of 50-digit
+    values for d >= 64).  The closed-form differences lose digits by
+    cancellation as d grows: up to 9e-8 relative for ac at d <= 3000 and
+    alpha = 0.05, and 6.2e-9 for left at d = 1000."""
     u, w = np.polynomial.legendre.leggauss(20)
     u, w = (u + 1) / 2, w / 2
     d = np.asarray(d, dtype=float)[:, None]
     p, q = (d + u) ** (a - 1), (d + 1 + u) ** (a - 1)
-    return a * (p @ w), a * (a + 1) * (p @ (w * u) + q @ (w * (1 - u)))
+    left = a * (a + 1) * (p @ (w * u))
+    return a * (p @ w), left + a * (a + 1) * (q @ (w * (1 - u))), left
 
 
 def direct_solve(rhs, x0, config, postprocess=None):
     """The O(N^2) direct-sum solver that the near/far split replaced,
     kept as the reference for the split quadrature.  With full memory the
-    weights of distances d >= FAR_BLOCK are exact to rounding, as the far
-    field's exponential sum computes them, and the closed forms keep the
-    shorter distances, as the near sums do."""
+    weights of distances d >= FAR_BLOCK, sample 0's at steps j >= FAR_BLOCK
+    included, are exact to rounding, as the far field computes them, and
+    the closed forms keep the shorter distances, as the near sums do."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     a = config.alpha
     N = config.steps
@@ -256,8 +259,9 @@ def direct_solve(rhs, x0, config, postprocess=None):
     b = (d + 1) ** a - d ** a                                   # predictor
     ac = (d + 2) ** (a + 1) + d ** (a + 1) - 2 * (d + 1) ** (a + 1)  # corrector, interior
     window = config.memory_truncation
-    if window is None or window >= N:
-        b[FAR_BLOCK:], ac[FAR_BLOCK:] = exact_weights(a, d[FAR_BLOCK:])
+    full = window is None or window >= N
+    if full:
+        b[FAR_BLOCK:], ac[FAR_BLOCK:], left = exact_weights(a, d[FAR_BLOCK:])
     c_pred = h ** a / math.gamma(a + 1)
     c_corr = h ** a / math.gamma(a + 2)
     # reversed views: b_rev[N + 1 - m:] is b[:m][::-1], the same strided view
@@ -282,7 +286,9 @@ def direct_solve(rhs, x0, config, postprocess=None):
         # untruncated case
         wc = ac_rev[N + 1 - j + lo:]
         hist = wc @ fhist[lo + 1:j + 1] if j > lo else 0.0
-        if lo == 0:
+        if full and j >= FAR_BLOCK:
+            a0 = left[j - FAR_BLOCK]
+        elif lo == 0:
             a0 = j ** (a + 1) - (j - a) * (j + 1) ** a
         else:
             a0 = ac[j - lo]
@@ -358,9 +364,37 @@ def test_far_field_modes_reproduce_the_weights(alpha, steps):
                 got[0] = 0.0
             got = total + np.cumsum(got, axis=0)
             total = got[-1]
-        want = np.stack(exact_weights(alpha, d), axis=1)
+        want = np.stack(exact_weights(alpha, d)[:2], axis=1)
         worst = max(worst, np.max(np.abs(got / want - 1)))
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95, 1.0,
+                                   1.05, 1.2, 1.35, 1.5, 1.65, 1.8, 1.95])
+def test_far_field_series_weights_match_50_digit_values(alpha):
+    # sample 0's corrector correction delta[t] = left[t] - ac[t] and, for
+    # alpha >= 1, the anchors b[FAR_BLOCK] and ac[FAR_BLOCK] come from
+    # binomial series; the closed form of left[t] is off by 6.2e-9
+    # relative at t = 1000 for alpha = 0.05
+    mp = pytest.importorskip("mpmath")
+    a = mp.mpf(alpha)
+
+    def left(t):
+        return t ** (a + 1) - (t - a) * (t + 1) ** a
+
+    def ac(t):
+        return (t + 2) ** (a + 1) + t ** (a + 1) - 2 * (t + 1) ** (a + 1)
+
+    delta = _FarField(alpha, 10 ** 5, 1).delta
+    anchors = far_field_modes(alpha, 10 ** 5)[2]
+    assert (anchors is None) == (alpha < 1)
+    with mp.workdps(50):
+        for t in (64, 65, 10 ** 3, 10 ** 4, 10 ** 5 - 1):
+            want = left(mp.mpf(t)) - ac(mp.mpf(t))
+            assert abs(delta[t - FAR_BLOCK] / want - 1) < 1e-14
+        d = mp.mpf(FAR_BLOCK)
+        for got, want in zip(anchors or (), ((d + 1) ** a - d ** a, ac(d))):
+            assert abs(got / want - 1) < 1e-14
 
 
 def test_full_memory_peak_stays_within_two_and_a_half_trajectories():

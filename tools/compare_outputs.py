@@ -10,7 +10,9 @@ imports cefsim from that tree's `src/` and nowhere else:
   `perfbench/workloads.generate` of this checkout writes from each
   tree's bundled scenario;
 - `simulate` of the bundled scenario at alpha 0.5 with 1500 steps (a
-  numerical blow-up that exits 3) and at alpha 1.3 with 3000 steps;
+  numerical blow-up that exits 3), at alpha 1.3 with 3000 steps and at
+  alpha 0.8 with 30000 steps (a healthy full-memory run three times as
+  long as the benchmark's);
 - `sweep --param r1 --grid 10:60:10` of the bundled scenario;
 - at 1000 steps of the bundled scenario, the paths of `--alpha`:
   `field --alpha 0.8`, `sweep --param r1 --grid 10:30:10 --alpha 0.8`
@@ -132,7 +134,7 @@ def commands(src: Path, work: Path) -> dict[str, tuple[list[str], bool]]:
             cmds[f"{name}-seed{seed}"] = ([inv.command, str(inv.config_path), *inv.args],
                                            False)
     bundled = src / "cefsim" / "data" / "canonical_scenario.json"
-    for alpha, steps in (("0.5", 1500), ("1.3", 3000)):
+    for alpha, steps in (("0.5", 1500), ("1.3", 3000), ("0.8", 30000)):
         cfg = _bundled(src, work, f"bundled-{steps}",
                        lambda doc: doc["solver"].update(steps=steps))
         cmds[f"simulate-alpha{alpha}"] = (["simulate", str(cfg), "--alpha", alpha], False)
