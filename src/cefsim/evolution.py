@@ -184,15 +184,6 @@ class StabilityProbe:
     passed: bool
 
 
-@dataclass
-class StabilityReport:
-    probes: list[StabilityProbe]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(p.passed for p in self.probes)
-
-
 def _perturbed_starts(x_star: MixedStrategyProfile, delta: float) -> list[MixedStrategyProfile]:
     """Deterministic set of starts with ||x0 - y0||_1 <= delta: for each
     provider, move delta/2 of mass from the heaviest strategy toward each
@@ -214,14 +205,17 @@ def _perturbed_starts(x_star: MixedStrategyProfile, delta: float) -> list[MixedS
 
 
 def stability_probe(game: FederationGame, x_star: MixedStrategyProfile, delta: float,
-                    solver: SolverConfig, gamma: float, n_weight: float,
-                    starts: Optional[Sequence[MixedStrategyProfile]] = None) -> StabilityReport:
+                    solver: SolverConfig, gamma: float, n_weight: float) -> list[StabilityProbe]:
     """Uniform-stability check around a rest point x_star.
 
-    Runs the dynamics from x_star and from each perturbed start and tests
+    Runs the dynamics from x_star and from each perturbed start (for each
+    provider, delta/2 of mass moved from its heaviest strategy to each
+    other strategy in turn) and tests
     sup_{t >= h} e^{-n_weight * t} ||x(t) - y(t)||_1 < ||x0 - y0||_1.
     The supremum starts at the first grid point: at t = 0 the weighted
-    distance equals the initial distance identically.
+    distance equals the initial distance identically.  Returns one
+    StabilityProbe per start, in that order; the check holds when every
+    probe passed.
     """
     residual = float(np.max(np.abs(game.rhs_flat(game.flat_state(x_star), gamma))))
     if residual > 1e-3:
@@ -229,10 +223,8 @@ def stability_probe(game: FederationGame, x_star: MixedStrategyProfile, delta: f
     if n_weight <= 0:
         raise ValueError("n_weight must be > 0")
     base = simulate(game, x_star, solver, gamma)
-    if starts is None:
-        starts = _perturbed_starts(x_star, delta)
     probes = []
-    for y0 in starts:
+    for y0 in _perturbed_starts(x_star, delta):
         d0 = float(np.sum(np.abs(x_star.flat - y0.flat)))
         traj = simulate(game, y0, solver, gamma)
         dist = np.sum(np.abs(traj.states - base.states), axis=1)
@@ -240,7 +232,7 @@ def stability_probe(game: FederationGame, x_star: MixedStrategyProfile, delta: f
         sup = float(np.max(weighted)) if d0 > 0 else 0.0
         passed = (d0 == 0.0) or (sup < d0)
         probes.append(StabilityProbe(initial_distance=d0, weighted_sup=sup, passed=passed))
-    return StabilityReport(probes)
+    return probes
 
 
 def stability_weight(k_hat: float, alpha: float, horizon: float = 1.0) -> float:

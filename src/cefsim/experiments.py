@@ -83,12 +83,16 @@ def run_sweep(base: ScenarioConfig, parameter: str, grid: Sequence) -> list[dict
 
 def kernel_study(alpha_set: Sequence[float], deltas: Sequence[float]) -> list[dict]:
     """Memory-kernel weight per (alpha, delta); one row per delta with a
-    column per order.
+    column per order, so an order given twice (as floats) is rejected.
     """
+    orders = sorted(alpha_set)
+    for a, b in zip(orders, orders[1:]):
+        if a == b:
+            raise ValueError(f"kernel order {a} is given more than once")
     rows = []
     for d in deltas:
         row = {"delta": d}
-        for a in sorted(alpha_set):
+        for a in orders:
             row[f"alpha_{a}"] = memory_weight(d, a)
         rows.append(row)
     return rows

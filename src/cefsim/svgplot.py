@@ -20,8 +20,15 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in values]
 
 
-def _frame(title: str, xlabel: str, ylabel: str) -> list[str]:
-    """Opening tag, background, plot box, title and axis labels."""
+def _polyline(px, py, color: str, width: str) -> str:
+    """One polyline through the pixel points (px[i], py[i])."""
+    pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"/>'
+
+
+def _write_svg(path, title: str, xlabel: str, ylabel: str, body: list[str]) -> None:
+    """Write `body` inside the frame: opening tag, background, plot box,
+    title and axis labels."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -37,7 +44,7 @@ def _frame(title: str, xlabel: str, ylabel: str) -> list[str]:
     parts.append(f'<text x="14" y="{HEIGHT / 2}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
                  f'transform="rotate(-90 14 {HEIGHT / 2})">{ylabel}</text>')
-    return parts
+    Path(path).write_text("\n".join(parts + body + ["</svg>"]) + "\n")
 
 
 def line_plot(path, xs: Sequence[float], series: dict[str, Sequence[float]],
@@ -52,7 +59,7 @@ def line_plot(path, xs: Sequence[float], series: dict[str, Sequence[float]],
     pad = 0.05 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    parts = _frame(title, xlabel, ylabel)
+    parts = []
     for tick, value in ((MARGIN, x_lo), (WIDTH - MARGIN, x_hi)):
         parts.append(f'<text x="{tick}" y="{HEIGHT - MARGIN + 16}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="11">{value:.4g}</text>')
@@ -63,15 +70,12 @@ def line_plot(path, xs: Sequence[float], series: dict[str, Sequence[float]],
     px = _scale(xs, x_lo, x_hi, MARGIN, WIDTH - MARGIN)
     for idx, (name, ys) in enumerate(series.items()):
         py = _scale(ys, y_lo, y_hi, HEIGHT - MARGIN, MARGIN)
-        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
         color = PALETTE[idx % len(PALETTE)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.5"/>')
+        parts.append(_polyline(px, py, color, "1.5"))
         parts.append(f'<text x="{WIDTH - MARGIN - 4}" y="{MARGIN + 16 + 14 * idx}" '
                      f'text-anchor="end" font-family="sans-serif" font-size="11" '
                      f'fill="{color}">{name}</text>')
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    _write_svg(path, title, xlabel, ylabel, parts)
 
 
 def polyline_plot(path, polylines: Sequence[Sequence[tuple[float, float]]],
@@ -83,15 +87,12 @@ def polyline_plot(path, polylines: Sequence[Sequence[tuple[float, float]]],
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
-    parts = _frame(title, xlabel, ylabel)
+    parts = []
     for idx, line in enumerate(polylines):
         px = _scale([p[0] for p in line], x_lo, x_hi, MARGIN, WIDTH - MARGIN)
         py = _scale([p[1] for p in line], y_lo, y_hi, HEIGHT - MARGIN, MARGIN)
-        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
-        parts.append(f'<polyline points="{pts}" fill="none" '
-                     f'stroke="{PALETTE[idx % len(PALETTE)]}" stroke-width="1"/>')
+        color = PALETTE[idx % len(PALETTE)]
+        parts.append(_polyline(px, py, color, "1"))
         # arrowhead substitute: mark the terminal point
-        parts.append(f'<circle cx="{px[-1]:.2f}" cy="{py[-1]:.2f}" r="2.5" '
-                     f'fill="{PALETTE[idx % len(PALETTE)]}"/>')
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+        parts.append(f'<circle cx="{px[-1]:.2f}" cy="{py[-1]:.2f}" r="2.5" fill="{color}"/>')
+    _write_svg(path, title, xlabel, ylabel, parts)

@@ -211,11 +211,12 @@ def test_criterion_6_stability():
         n_w = stability_weight(k_hat, a, horizon=1.0)
         checks.append((f"alpha={a}: contraction condition L*K={k_hat:.1f} < "
                        f"N^alpha={n_w ** a:.1f}", 1.0 * k_hat < n_w ** a))
-        rep = stability_probe(game, x_star, 0.05,
-                              SolverConfig(alpha=a, horizon=1.0, steps=3000),
-                              GAMMA, n_w)
+        probes = stability_probe(game, x_star, 0.05,
+                                 SolverConfig(alpha=a, horizon=1.0, steps=3000),
+                                 GAMMA, n_w)
         checks.append((f"alpha={a}: weighted-sup inequality on all "
-                       f"{len(rep.probes)} probes at delta=0.05", rep.all_passed))
+                       f"{len(probes)} probes at delta=0.05",
+                       all(p.passed for p in probes)))
     _report(6, "uniform stability", checks)
 
 

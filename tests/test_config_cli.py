@@ -1,5 +1,8 @@
+import itertools
 import json
 import re
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -211,8 +214,11 @@ def test_cli_simulate_outputs(tmp_path, fast_config):
 
 
 def test_trajectory_writer_matches_row_writer(tmp_path):
-    # more rows than one chunk, and values whose shortest round-trip form
-    # is unusual: signed zero, the smallest subnormal, a large integer
+    # the one writer, fed chunks from arrays as trajectory.csv is, against
+    # `_fmt` row by row: more rows than one chunk, values whose shortest
+    # round-trip form is unusual (signed zero, the smallest subnormal, a
+    # large integer), Python ints, and a last chunk with a missing
+    # convergence time (None), which falls back to `_fmt`
     rng = np.random.default_rng(3)
     rows = 2 * cli.CSV_CHUNK + 17
     times = np.linspace(0.0, 1.0, rows)
@@ -221,11 +227,31 @@ def test_trajectory_writer_matches_row_writer(tmp_path):
     states[1::7, 1] = 5e-324
     states[2::7, 2] = 1e16
     states[3::7, 3] = -5e-324
+    ints = [[1, -7, 2 ** 53 + 1, 10 ** 20, True]]
+    nones = [[4, 0.25, None, None, 1e-3], [None] * 5]
     cols = ["t", "a", "b", "c", "d"]
-    cli._write_float_csv(tmp_path / "chunked.csv", "# meta", cols, times, states)
-    cli._write_csv(tmp_path / "rows.csv", "# meta", cols,
-                   ([t, *state] for t, state in zip(times, states)))
-    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    cli._write_csv(tmp_path / "out.csv", "# meta", cols,
+                   itertools.chain(ints, cli._array_rows(times, states), nones))
+    expected = ints + [[t, *state] for t, state in zip(times, states)] + nones
+    assert (tmp_path / "out.csv").read_text() == "\n".join(
+        ["# meta", ",".join(cols)] + [",".join(map(cli._fmt, row)) for row in expected]) + "\n"
+
+
+def test_trajectory_writer_holds_few_rows(tmp_path):
+    # simulate_long's trajectory.csv: 10^4 steps of t and 14 shares.  Its
+    # rows become Python objects CSV_CHUNK at a time; the bound, about two
+    # chunks of rows with their text, fails one whole-array .tolist()
+    times = np.linspace(0.0, 1.0, 10_001)
+    states = np.random.default_rng(0).random((10_001, 14))
+    row_bytes = sys.getsizeof([0.0] * 15) + 15 * sys.getsizeof(0.0)
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "trajectory.csv", "# meta", [f"c{j}" for j in range(15)],
+                       cli._array_rows(times, states))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * cli.CSV_CHUNK * row_bytes
 
 
 def test_cli_simulate_unconverged_exit(tmp_path, doc):
@@ -365,6 +391,16 @@ def test_cli_kernel(tmp_path):
     lines = (out / "kernel.csv").read_text().splitlines()
     assert lines[1] == "delta,alpha_0.65,alpha_0.8"
     assert len(lines) == 2 + 5
+
+
+@pytest.mark.parametrize("alphas", ["0.5,0.5", "0.8,0.5,0.50"])
+def test_cli_kernel_rejects_repeated_order(tmp_path, capsys, alphas):
+    # one column per order: a repeated order would overwrite its own column
+    out = tmp_path / "k"
+    code = main(["kernel", "--alphas", alphas, "--out-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: kernel order 0.5 is given more than once\n"
+    assert not out.exists()
 
 
 def test_cli_bad_grid(tmp_path, fast_config, capsys):

@@ -353,19 +353,20 @@ def test_stability_weight_satisfies_contraction_condition():
 
 def test_stability_probe_trivial_and_guard(game, uniform, x_star):
     cfg = SolverConfig(alpha=1.0, steps=400)
-    rep = stability_probe(game, x_star, 0.0, cfg, GAMMA, n_weight=100.0,
-                          starts=[x_star])
-    assert rep.probes[0].weighted_sup == 0.0
-    assert rep.probes[0].passed
+    # delta = 0 moves no mass: every start is x_star itself
+    probes = stability_probe(game, x_star, 0.0, cfg, GAMMA, n_weight=100.0)
+    assert len(probes) == 12
+    assert all(p.initial_distance == 0.0 and p.weighted_sup == 0.0 and p.passed
+               for p in probes)
     with pytest.raises(ValueError, match="rest point"):
         stability_probe(game, uniform, 0.05, cfg, GAMMA, n_weight=100.0)
 
 
 def test_stability_probe_perturbations(game, x_star):
-    rep = stability_probe(game, x_star, 0.05,
-                          SolverConfig(alpha=1.0, steps=1000), GAMMA,
-                          n_weight=stability_weight(150.0, 1.0))
-    assert len(rep.probes) == 12  # (5-1) + (9-1) deterministic starts
-    assert rep.all_passed
-    assert all(p.initial_distance <= 0.05 + 1e-12 for p in rep.probes)
+    probes = stability_probe(game, x_star, 0.05,
+                             SolverConfig(alpha=1.0, steps=1000), GAMMA,
+                             n_weight=stability_weight(150.0, 1.0))
+    assert len(probes) == 12  # (5-1) + (9-1) deterministic starts
+    assert all(p.passed for p in probes)
+    assert all(p.initial_distance <= 0.05 + 1e-12 for p in probes)
 

@@ -26,11 +26,13 @@ imports cefsim from that tree's `src/` and nowhere else:
 - two numerical aborts (exit 2): `simulate` of the bundled scenario with
   provider 1 saturated (capacity == num_clouds * max_workers, starting at
   its all-max share), and at gamma 1e300 with 200 steps;
-- seven invalid inputs: `simulate` of the bundled scenario with a field
+- eight invalid inputs: `simulate` of the bundled scenario with a field
   missing, an unknown field, a mistyped field, out-of-range fields and a
-  bad `initial_profile`, a `W1` sweep whose grid breaks provider 1, and
+  bad `initial_profile`, a `W1` sweep whose grid breaks provider 1,
   `sweep --param n --grid 4:6:0.5`, whose values 4.5 and 5.5 are not
-  integers.
+  integers, and `kernel --alphas 0.8,0.8`, which repeats an order.
+
+54 commands in all.
 
 The two trees' runs of one command go side by side, one process each.
 Every file a command writes and its exit code must be the same for both
@@ -163,6 +165,7 @@ def commands(src: Path, work: Path) -> dict[str, tuple[list[str], bool]]:
                                    "--grid", "300:400:100"], True)
     cmds["invalid-sweep-n"] = (["sweep", str(bundled), "--param", "n", "--grid", "4:6:0.5"],
                                True)
+    cmds["invalid-kernel-repeated"] = (["kernel", "--alphas", "0.8,0.8"], True)
     return cmds
 
 
