@@ -112,6 +112,8 @@ class MixedStrategyProfile:
 
     @classmethod
     def pure(cls, eips: Sequence[EipConfig], levels: Sequence[int]) -> "MixedStrategyProfile":
+        if len(levels) != len(eips):
+            raise ValueError(f"{len(levels)} levels for {len(eips)} providers")
         blocks = []
         for e, l in zip(eips, levels):
             if not 0 <= l <= e.max_workers:
@@ -244,7 +246,7 @@ class FederationGame:
             (sl, self._js[sl], e.num_clouds, e.capacity, -e.fixed_cost * e.calibration_ratio)
             for sl, e in zip(self.slices, self.eips))
         self._plan = None   # lazy: per-provider contraction plan, see _compile
-        self._terms = {}    # task -> {placement: per-provider expected terms}
+        self._tables = {}   # task -> its table, see _task_table
 
     def flat_state(self, x: MixedStrategyProfile) -> np.ndarray:
         """The flat state of profile x, whose blocks must be the game's."""
@@ -287,58 +289,54 @@ class FederationGame:
     # ------------------------------------------------------------------
     # payoffs
 
-    def _placement_terms(self, placement: tuple[int, ...], task: TaskSpec) -> list[float]:
-        """Assignment and recovery rewards minus energy cost of every
-        provider, given the worker placement of a running task.
-        """
-        recovery = recovery_pmf(placement, task.k)
-        terms = []
-        for i, e in enumerate(self.eips):
-            nt_i = placement[i]
-            term = task.r0 * task.n * nt_i
-            term -= e.cpu_cost * task.cycles / task.k * nt_i
-            exp_recovered = sum(q * kt[i] for kt, q in recovery)
-            term += task.r1 * task.k * exp_recovered
-            terms.append(term)
-        return terms
+    def _task_table(self, task: TaskSpec) -> np.ndarray:
+        """Fixed reward plus expected assignment and recovery rewards minus
+        energy cost of every provider (axis 0) at every pure profile (the
+        other axes), excluding the utilization cost, which depends on the
+        mixed state.
 
-    def _expected_task_values(self, levels: Sequence[int], task: TaskSpec) -> list[float]:
-        """Fixed reward plus expected assignment/recovery rewards minus
-        energy cost of every provider under the pure profile `levels`,
-        from one enumeration of the assignment distribution.  Excludes the
-        utilization cost.  A placement's terms do not depend on the profile
-        it came from, so they are computed once per task and placement.
+        One enumeration: each profile sums its placements in
+        `joint_assignment_pmf` order, and a placement's terms, which do not
+        depend on the profile it came from, are computed once.  Memoised
+        per task.
         """
-        memo = self._terms.setdefault(task, {})
-        values = [task.r2] * len(self.eips)
-        for placement, p in joint_assignment_pmf(levels, task.n):
-            terms = memo.get(placement)
-            if terms is None:
-                terms = memo[placement] = self._placement_terms(placement, task)
-            for i, term in enumerate(terms):
-                values[i] += p * term
-        return values
+        table = self._tables.get(task)
+        if table is not None:
+            return table
+        table = np.empty((len(self.eips),) + self.block_sizes)
+        terms = {}   # placement -> every provider's term
+        for levels in itertools.product(*map(range, self.block_sizes)):
+            values = [task.r2] * len(self.eips)
+            for placement, p in joint_assignment_pmf(levels, task.n):
+                if placement not in terms:
+                    recovery = recovery_pmf(placement, task.k)
+                    terms[placement] = [
+                        task.r0 * task.n * nt - e.cpu_cost * task.cycles / task.k * nt
+                        + task.r1 * task.k * sum(q * kt[i] for kt, q in recovery)
+                        for i, (e, nt) in enumerate(zip(self.eips, placement))]
+                for i, term in enumerate(terms[placement]):
+                    values[i] += p * term
+            table[(slice(None),) + levels] = values
+        self._tables[task] = table
+        return table
 
     def pure_payoff(self, i: int, l_i: int, levels: Sequence[int],
                     x: MixedStrategyProfile, task: TaskSpec) -> float:
+        """Payoff of provider i playing l_i at the pure profile `levels`,
+        less its utilization cost at x, for one task type."""
         levels = tuple(levels)
+        if len(levels) != len(self.eips) or not all(
+                0 <= l <= e.max_workers for l, e in zip(levels, self.eips)):
+            raise ValueError(f"levels {levels} must hold one level in 0..L_i "
+                             f"per provider, L = {[e.max_workers for e in self.eips]}")
         if levels[i] != l_i:
             raise ValueError("levels[i] must equal l_i")
-        return self._expected_task_values(levels, task)[i] - self.utilization_cost(i, l_i, x)
-
-    def _base_payoffs(self, levels: Sequence[int]) -> list[float]:
-        """Task-weighted expected payoff of every provider at a pure
-        profile, excluding the utilization cost (which depends on the
-        mixed state).
-        """
-        weighted = [(w, self._expected_task_values(levels, t))
-                    for w, t in zip(self._task_weights, self.tasks)]
-        return [sum(w * values[i] for w, values in weighted)
-                for i in range(len(self.eips))]
+        return float(self._task_table(task)[(i,) + levels]) - self.utilization_cost(i, l_i, x)
 
     def _compile(self) -> list[tuple]:
-        """Build the payoff tables and, per provider, the plan that
-        averages its table over the opponents' shares.
+        """Weigh the task tables by arrival rate into every provider's
+        payoff table and build, per provider, the plan that averages its
+        table over the opponents' shares.
 
         The plan replays `np.tensordot` contractions, highest axis first
         (lower axis indices then stay put), with the operand layouts
@@ -349,10 +347,7 @@ class FederationGame:
         table as its payoff.
         """
         shape = self.block_sizes
-        tables = [np.zeros(shape) for _ in self.eips]
-        for levels in itertools.product(*[range(s) for s in shape]):
-            for table, value in zip(tables, self._base_payoffs(levels)):
-                table[levels] = value
+        tables = sum(w * self._task_table(t) for w, t in zip(self._task_weights, self.tasks))
         plan = []
         for i, (table, sl) in enumerate(zip(tables, self.slices)):
             steps, dims = [], list(shape)

@@ -197,6 +197,21 @@ def test_pure_payoff_infeasible_federation(game, eips):
     assert game.pure_payoff(0, 4, (4, 8), x, big) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("l_i, levels", [
+    (4, (4,)), (4, (4, 8, 3)), (-1, (-1, 8)), (4, (4, -1)), (5, (5, 8)), (4, (4, 9)),
+], ids=["short", "long", "negative-own", "negative-other", "past-L1", "past-L2"])
+def test_pure_payoff_rejects_bad_levels(game, eips, task, l_i, levels):
+    x = MixedStrategyProfile.pure(eips, [4, 8])
+    with pytest.raises(ValueError, match="one level in 0..L_i per provider"):
+        game.pure_payoff(0, l_i, levels, x, task)
+
+
+def test_pure_profile_rejects_level_count(eips):
+    for levels in ([4], [4, 8, 3]):
+        with pytest.raises(ValueError, match="levels for 2 providers"):
+            MixedStrategyProfile.pure(eips, levels)
+
+
 def test_mixed_payoff_degenerate_opponent(game, eips, task):
     x = MixedStrategyProfile.pure(eips, [4, 8])
     assert game.payoff_vector(0, x)[4] == pytest.approx(
@@ -215,7 +230,7 @@ def test_mixed_payoff_uniform_opponent_enumeration(game, eips, task):
     blocks = [np.zeros(5), np.full(9, 1 / 9)]
     blocks[0][4] = 1.0
     x = MixedStrategyProfile(blocks)
-    expected = sum(game._expected_task_values((4, l2), task)[0] for l2 in range(9)) / 9
+    expected = sum(game._task_table(task)[0, 4, l2] for l2 in range(9)) / 9
     expected -= game.utilization_cost(0, 4, x)
     assert game.payoff_vector(0, x)[4] == pytest.approx(expected, abs=1e-9)
 
@@ -436,10 +451,9 @@ def test_compiled_field_bit_identical_to_tensordot_form(name):
     game = FederationGame(eips, tasks, literal_utilization_cost=literal)
     assert game.block_sizes == MixedStrategyProfile.uniform(eips).block_sizes
     tables = _seed_tables(game)
-    shape = tables[0].shape
-    for levels in itertools.product(*[range(s) for s in shape]):
-        for i in range(len(eips)):
-            assert _same_bits(game._base_payoffs(levels)[i], tables[i][levels])
+    weighted = sum(w * game._task_table(t) for w, t in zip(game._task_weights, game.tasks))
+    for i in range(len(eips)):
+        assert _same_bits(weighted[i], tables[i])
     sizes = [e.num_strategies for e in eips]
     states = _probe_states(sizes, 600, seed=len(name))
     for m, flat in enumerate(states):

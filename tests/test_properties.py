@@ -2,7 +2,8 @@
 providers with at most 4 workers per cloud, one or two task types.
 
 - Every provider's expected task value at every pure profile matches a
-  brute-force enumeration of labelled worker assignment and recovery.
+  brute-force enumeration of labelled worker assignment and recovery,
+  and the linearity-of-expectation closed form.
 - `simulate` keeps every state on the product of simplices, or aborts
   with `FdeAbortError`.
 - `cli.main` returns an exit code 0-3 and never raises, on each scenario
@@ -66,6 +67,20 @@ def _scenario(rng) -> dict:
 DOCS = [_scenario(rng) for rng in [np.random.default_rng(SEED)] for _ in range(SCENARIOS)]
 
 
+def _closed_form_values(levels, task, eips) -> list[float]:
+    """The same values by linearity of expectation: with L = sum(levels)
+    >= n, provider i holds n l_i / L assigned and k l_i / L recovered
+    workers on average, so its value is r2 + a_i l_i / L with
+    a_i = (r0 n - c_i D / k) n + r1 k^2; with L < n the task is not served
+    and every value is r2."""
+    total = sum(levels)
+    if total < task.n:
+        return [task.r2] * len(levels)
+    return [task.r2 + ((task.r0 * task.n - e.cpu_cost * task.cycles / task.k) * task.n
+                       + task.r1 * task.k ** 2) * l / total
+            for l, e in zip(levels, eips)]
+
+
 def _brute_force_values(levels, task, eips) -> list[float]:
     """Fixed reward plus the expected assignment and recovery rewards minus
     the energy cost of every provider, by enumerating the equally likely
@@ -93,6 +108,7 @@ def test_pure_profile_values_match_labelled_enumeration(case):
         x = MixedStrategyProfile.pure(cfg.eips, levels)
         for task in cfg.tasks:
             expected = _brute_force_values(levels, task, cfg.eips)
+            closed = _closed_form_values(levels, task, cfg.eips)
             for i, l_i in enumerate(levels):
                 # at saturation the idle strategies' costs are 0 * inf
                 with np.errstate(invalid="ignore"):
@@ -102,6 +118,7 @@ def test_pure_profile_values_match_labelled_enumeration(case):
                     assert payoff == -math.inf
                 else:
                     assert payoff + cost == pytest.approx(expected[i], rel=0, abs=1e-9)
+                    assert payoff + cost == pytest.approx(closed[i], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("case", range(SCENARIOS))

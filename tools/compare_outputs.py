@@ -23,6 +23,8 @@ imports cefsim from that tree's `src/` and nowhere else:
   variant at 1000 steps, `field --grid-spec 0.3:0.5:0.1 --stride 50` and
   a sweep: `sweep --param r1 --grid 10:30:10` of the one-provider
   variant, `sweep --param k --grid 2:4:1` of the three-provider one;
+- at 1000 steps of a two-task variant (a second task type added to the
+  bundled scenario), `simulate` and `sweep --param k --grid 2:4:1`;
 - two numerical aborts (exit 2): `simulate` of the bundled scenario with
   provider 1 saturated (capacity == num_clouds * max_workers, starting at
   its all-max share), and at gamma 1e300 with 200 steps;
@@ -32,7 +34,7 @@ imports cefsim from that tree's `src/` and nowhere else:
   `sweep --param n --grid 4:6:0.5`, whose values 4.5 and 5.5 are not
   integers, and `kernel --alphas 0.8,0.8`, which repeats an order.
 
-54 commands in all.
+56 commands in all.
 
 The two trees' runs of one command go side by side, one process each.
 Every file a command writes and its exit code must be the same for both
@@ -107,6 +109,13 @@ PROVIDERS = {
 PROVIDER_SWEEPS = {"1p": ("r1", "10:30:10"), "3p": ("k", "2:4:1")}
 
 
+# the second task type of the two-task variant, which runs 1000 steps
+def _two_tasks(doc):
+    doc["tasks"].append({"n": 9, "k": 5, "r0": 20, "r1": 25, "r2": 3, "cycles": 2e6,
+                         "rate": 0.5})
+    doc["solver"].update(steps=1000)
+
+
 # edits of the bundled scenario that make its run abort on a non-finite state
 ABORTS = {
     "saturation": lambda doc: (
@@ -156,6 +165,9 @@ def commands(src: Path, work: Path) -> dict[str, tuple[list[str], bool]]:
                                   "--stride", "50"], False)
         param, grid = PROVIDER_SWEEPS[name]
         cmds[f"sweep-{name}"] = (["sweep", str(cfg), "--param", param, "--grid", grid], False)
+    cfg = str(_bundled(src, work, "2t-1000", _two_tasks))
+    cmds["simulate-2t"] = (["simulate", cfg], False)
+    cmds["sweep-2t"] = (["sweep", cfg, "--param", "k", "--grid", "2:4:1"], False)
     for name, edit in ABORTS.items():
         cmds[f"abort-{name}"] = (["simulate", str(_bundled(src, work, name, edit))], False)
     for name, edit in INVALID.items():
