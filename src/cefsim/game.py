@@ -114,14 +114,10 @@ class MixedStrategyProfile:
     def pure(cls, eips: Sequence[EipConfig], levels: Sequence[int]) -> "MixedStrategyProfile":
         if len(levels) != len(eips):
             raise ValueError(f"{len(levels)} levels for {len(eips)} providers")
-        blocks = []
         for e, l in zip(eips, levels):
             if not 0 <= l <= e.max_workers:
                 raise ValueError(f"level {l} outside 0..{e.max_workers}")
-            b = np.zeros(e.num_strategies)
-            b[l] = 1.0
-            blocks.append(b)
-        return cls(blocks)
+        return cls([np.eye(e.num_strategies)[l] for e, l in zip(eips, levels)])
 
     @classmethod
     def from_flat(cls, sizes: Sequence[int], flat: np.ndarray) -> "MixedStrategyProfile":
@@ -255,15 +251,24 @@ class FederationGame:
                              f"the game's blocks {self.block_sizes}")
         return x.flat
 
+    def _check(self, i: int, j: int = 0) -> None:
+        """Raise ValueError unless i numbers a provider and j one of its strategies."""
+        if not 0 <= i < len(self.eips):
+            raise ValueError(f"provider {i} outside 0..{len(self.eips) - 1}")
+        if not 0 <= j <= self.eips[i].max_workers:
+            raise ValueError(f"strategy {j} of provider {i} outside 0..{self.eips[i].max_workers}")
+
     # ------------------------------------------------------------------
     # utilization and its cost
 
     def utilization(self, i: int, x: MixedStrategyProfile) -> float:
+        self._check(i)
         sl, js, clouds, capacity, _ = self._cost_terms[i]
         return _utilization(float(js.dot(self.flat_state(x)[sl])), clouds, capacity)
 
     def utilization_cost(self, i: int, j: int, x: MixedStrategyProfile) -> float:
         """Utilization cost of strategy j of provider i at profile x."""
+        self._check(i, j)
         return float(self._costs(self.flat_state(x))[self.slices[i]][j])
 
     def _costs(self, flat: np.ndarray) -> np.ndarray:
@@ -320,18 +325,12 @@ class FederationGame:
         self._tables[task] = table
         return table
 
-    def pure_payoff(self, i: int, l_i: int, levels: Sequence[int],
-                    x: MixedStrategyProfile, task: TaskSpec) -> float:
-        """Payoff of provider i playing l_i at the pure profile `levels`,
-        less its utilization cost at x, for one task type."""
-        levels = tuple(levels)
-        if len(levels) != len(self.eips) or not all(
-                0 <= l <= e.max_workers for l, e in zip(levels, self.eips)):
-            raise ValueError(f"levels {levels} must hold one level in 0..L_i "
-                             f"per provider, L = {[e.max_workers for e in self.eips]}")
-        if levels[i] != l_i:
-            raise ValueError("levels[i] must equal l_i")
-        return float(self._task_table(task)[(i,) + levels]) - self.utilization_cost(i, l_i, x)
+    def pure_payoff(self, i: int, levels: Sequence[int], task: TaskSpec) -> float:
+        """Payoff of provider i at the pure profile `levels` for one task
+        type, less its utilization cost there."""
+        self._check(i)
+        x = MixedStrategyProfile.pure(self.eips, levels)
+        return float(self._task_table(task)[(i, *levels)]) - self.utilization_cost(i, levels[i], x)
 
     def _compile(self) -> list[tuple]:
         """Weigh the task tables by arrival rate into every provider's
@@ -385,10 +384,11 @@ class FederationGame:
 
     def payoff_vector(self, i: int, x: MixedStrategyProfile) -> np.ndarray:
         """Payoff of each strategy of provider i at x, its utilization cost included."""
+        self._check(i)
         return self._payoffs(self.flat_state(x))[self.slices[i]]
 
     def average_payoff(self, i: int, x: MixedStrategyProfile) -> float:
-        return float(x.blocks[i] @ self.payoff_vector(i, x))
+        return float(self.payoff_vector(i, x) @ x.blocks[i])
 
     # ------------------------------------------------------------------
     # replicator dynamics

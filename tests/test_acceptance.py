@@ -99,7 +99,7 @@ def test_criterion_2_payoff_closed_form():
                 game = FederationGame(eips, [task])
                 x = MixedStrategyProfile.pure(eips, [l1, l2])
                 for i, l_i in ((0, l1), (1, l2)):
-                    got = game.pure_payoff(i, l_i, (l1, l2), x, task)
+                    got = game.pure_payoff(i, (l1, l2), task)
                     c2 = game.utilization_cost(i, l_i, x)
                     want = (10 + (30 * n - 1e-5 * 1e6 / k) * (n * (l1, l2)[i] / total)
                             + 30 * k * (k * (l1, l2)[i] / total) - c2)
@@ -107,8 +107,7 @@ def test_criterion_2_payoff_closed_form():
     # the canonical instance under the cost branch that divides by the
     # provider's cloud count
     game = FederationGame(EIPS, [TASK])
-    x = MixedStrategyProfile.pure(EIPS, [4, 8])
-    inst = game.pure_payoff(0, 4, (4, 8), x, TASK)
+    inst = game.pure_payoff(0, (4, 8), TASK)
     _report(2, "payoff closed-form oracle", [
         (f"max closed-form deviation {worst:.2e} < 1e-9", worst < 1e-9),
         (f"canonical instance payoff {inst:.6f} = 453 +/- 1e-9",

@@ -13,6 +13,7 @@ from cefsim.cli import main
 from cefsim.config import (ConfigError, emit_config, parse_config,
                            parse_config_dict)
 from cefsim.evolution import detect_convergence, simulate
+from cefsim.experiments import scenario_at
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src/cefsim/data/canonical_scenario.json"
 
@@ -255,13 +256,22 @@ def test_trajectory_writer_holds_few_rows(tmp_path):
 
 
 def test_cli_simulate_unconverged_exit(tmp_path, doc):
-    # the heavily subdiffusive run keeps fluctuating and never settles
+    # the heavily subdiffusive run blows up: the explicit solver runs past
+    # its stability limit and the simplex projection clamps every step back,
+    # so it never settles.  Which side of the adjacency threshold its last
+    # steps land on is rounding luck (CHANGES.md FOUND of the far-field
+    # change that moved sample 0 into the exponential modes); ROADMAP item 2
+    # (solver health) and item 4 (a stable integrator) replace this check
     doc["solver"]["steps"] = 1500
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(doc))
     code = main(["simulate", str(p), "--alpha", "0.5",
                  "--out-dir", str(tmp_path / "u")])
     assert code == 3
+    run = scenario_at(parse_config(p), "alpha", 0.5)
+    with np.errstate(all="ignore"):
+        traj = simulate(run.game(), run.initial_mixed_profile(), run.solver, run.gamma)
+    assert np.max(traj.postprocess_corrections) > 1
 
 
 def test_cli_simulate_unconverged_exit_on_healthy_run(tmp_path, doc):

@@ -79,6 +79,28 @@ def test_readers_reject_other_layout(game):
             read()
 
 
+# each reader called with index `k` as its provider, or as a strategy of provider 0
+INDEXED_READERS = {
+    "utilization": lambda g, k, x, t: g.utilization(k, x),
+    "utilization_cost": lambda g, k, x, t: g.utilization_cost(k, 0, x),
+    "payoff_vector": lambda g, k, x, t: g.payoff_vector(k, x),
+    "average_payoff": lambda g, k, x, t: g.average_payoff(k, x),
+    "pure_payoff": lambda g, k, x, t: g.pure_payoff(k, (4, 8), t),
+    "strategy": lambda g, k, x, t: g.utilization_cost(0, k, x),
+}
+
+
+@pytest.mark.parametrize("reader, k, msg", [
+    *((r, i, f"provider {i} outside 0..1") for r in list(INDEXED_READERS)[:5] for i in (-1, 2)),
+    *(("strategy", j, f"strategy {j} of provider 0 outside 0..4") for j in (-1, 5)),
+])
+def test_readers_reject_index_out_of_range(game, eips, task, reader, k, msg):
+    # Python indexing would let -1 answer for the last provider or strategy,
+    # and let an index past the end escape as a bare IndexError
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        INDEXED_READERS[reader](game, k, MixedStrategyProfile.uniform(eips), task)
+
+
 @pytest.mark.parametrize("blocks, bad", [
     ([[np.nan, 1.0], [0.5, 0.5]], 0),
     ([[0.0, 1.0], [0.5, np.nan]], 1),
@@ -180,30 +202,30 @@ def test_literal_branch_omits_cloud_count(eips, task):
 
 # --------------------------------------------------------------- payoffs
 
-def test_pure_payoff_instance(game, eips, task):
-    x = MixedStrategyProfile.pure(eips, [4, 8])
-    assert game.pure_payoff(0, 4, (4, 8), x, task) == pytest.approx(453.0, abs=1e-9)
+def test_pure_payoff_instance(game, task):
+    assert game.pure_payoff(0, (4, 8), task) == pytest.approx(453.0, abs=1e-9)
 
 
-def test_pure_payoff_zero_contribution(game, eips, task):
-    x = MixedStrategyProfile.pure(eips, [0, 8])
-    assert game.pure_payoff(0, 0, (0, 8), x, task) == pytest.approx(10.0, abs=1e-12)
+def test_pure_payoff_zero_contribution(game, task):
+    assert game.pure_payoff(0, (0, 8), task) == pytest.approx(10.0, abs=1e-12)
 
 
 def test_pure_payoff_infeasible_federation(game, eips):
     big = TaskSpec(13, 4, 30, 30, 10, 1e6, 1.0)
     x = MixedStrategyProfile.pure(eips, [4, 8])
     expected = 10.0 - game.utilization_cost(0, 4, x)
-    assert game.pure_payoff(0, 4, (4, 8), x, big) == pytest.approx(expected, abs=1e-12)
+    assert game.pure_payoff(0, (4, 8), big) == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("l_i, levels", [
-    (4, (4,)), (4, (4, 8, 3)), (-1, (-1, 8)), (4, (4, -1)), (5, (5, 8)), (4, (4, 9)),
+@pytest.mark.parametrize("levels, msg", [
+    ((4,), "1 levels for 2 providers"), ((4, 8, 3), "3 levels for 2 providers"),
+    ((-1, 8), "level -1 outside 0..4"), ((4, -1), "level -1 outside 0..8"),
+    ((5, 8), "level 5 outside 0..4"), ((4, 9), "level 9 outside 0..8"),
 ], ids=["short", "long", "negative-own", "negative-other", "past-L1", "past-L2"])
-def test_pure_payoff_rejects_bad_levels(game, eips, task, l_i, levels):
-    x = MixedStrategyProfile.pure(eips, [4, 8])
-    with pytest.raises(ValueError, match="one level in 0..L_i per provider"):
-        game.pure_payoff(0, l_i, levels, x, task)
+def test_pure_payoff_rejects_bad_levels(game, task, levels, msg):
+    # the levels rule is `MixedStrategyProfile.pure`'s
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        game.pure_payoff(0, levels, task)
 
 
 def test_pure_profile_rejects_level_count(eips):
@@ -215,7 +237,7 @@ def test_pure_profile_rejects_level_count(eips):
 def test_mixed_payoff_degenerate_opponent(game, eips, task):
     x = MixedStrategyProfile.pure(eips, [4, 8])
     assert game.payoff_vector(0, x)[4] == pytest.approx(
-        game.pure_payoff(0, 4, (4, 8), x, task), abs=1e-9)
+        game.pure_payoff(0, (4, 8), task), abs=1e-9)
 
 
 def test_identical_tasks_weighting(eips, task):

@@ -112,7 +112,7 @@ def test_pure_profile_values_match_labelled_enumeration(case):
             for i, l_i in enumerate(levels):
                 # at saturation the idle strategies' costs are 0 * inf
                 with np.errstate(invalid="ignore"):
-                    payoff = game.pure_payoff(i, l_i, levels, x, task)
+                    payoff = game.pure_payoff(i, levels, task)
                     cost = game.utilization_cost(i, l_i, x)
                 if math.isinf(cost):  # a saturated provider: utilization 1
                     assert payoff == -math.inf

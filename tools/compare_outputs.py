@@ -25,6 +25,11 @@ imports cefsim from that tree's `src/` and nowhere else:
   variant, `sweep --param k --grid 2:4:1` of the three-provider one;
 - at 1000 steps of a two-task variant (a second task type added to the
   bundled scenario), `simulate` and `sweep --param k --grid 2:4:1`;
+- at 1000 steps of a primitive-cost variant (the bundled scenario with
+  `flags.utilization_cost_literal` false, so each utilization cost is
+  divided by the provider's cloud count), `simulate`,
+  `field --grid-spec 0.3:0.5:0.1 --stride 50` and
+  `sweep --param r1 --grid 10:30:10`;
 - two numerical aborts (exit 2): `simulate` of the bundled scenario with
   provider 1 saturated (capacity == num_clouds * max_workers, starting at
   its all-max share), and at gamma 1e300 with 200 steps;
@@ -34,7 +39,7 @@ imports cefsim from that tree's `src/` and nowhere else:
   `sweep --param n --grid 4:6:0.5`, whose values 4.5 and 5.5 are not
   integers, and `kernel --alphas 0.8,0.8`, which repeats an order.
 
-56 commands in all.
+59 commands in all.
 
 The two trees' runs of one command go side by side, one process each.
 Every file a command writes and its exit code must be the same for both
@@ -116,6 +121,12 @@ def _two_tasks(doc):
     doc["solver"].update(steps=1000)
 
 
+# the primitive cost branch, which no other command runs, at 1000 steps
+def _primitive_cost(doc):
+    doc["flags"].update(utilization_cost_literal=False)
+    doc["solver"].update(steps=1000)
+
+
 # edits of the bundled scenario that make its run abort on a non-finite state
 ABORTS = {
     "saturation": lambda doc: (
@@ -168,6 +179,11 @@ def commands(src: Path, work: Path) -> dict[str, tuple[list[str], bool]]:
     cfg = str(_bundled(src, work, "2t-1000", _two_tasks))
     cmds["simulate-2t"] = (["simulate", cfg], False)
     cmds["sweep-2t"] = (["sweep", cfg, "--param", "k", "--grid", "2:4:1"], False)
+    cfg = str(_bundled(src, work, "primitive-1000", _primitive_cost))
+    cmds["simulate-primitive"] = (["simulate", cfg], False)
+    cmds["field-primitive"] = (["field", cfg, "--grid-spec", "0.3:0.5:0.1", "--stride", "50"],
+                               False)
+    cmds["sweep-primitive"] = (["sweep", cfg, "--param", "r1", "--grid", "10:30:10"], False)
     for name, edit in ABORTS.items():
         cmds[f"abort-{name}"] = (["simulate", str(_bundled(src, work, name, edit))], False)
     for name, edit in INVALID.items():
