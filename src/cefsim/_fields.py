@@ -44,11 +44,18 @@ def type_errors(cls, raw: Mapping) -> list[Problem]:
         v = raw[name]
         if v is None and optional:
             continue
-        if kind is int and (isinstance(v, bool) or not isinstance(v, Integral)):
+        if kind is int and not is_int(v):
             errs.append((name, f"{name} must be an integer, got {v!r}"))
         elif kind is float and not is_real(v):
             errs.append((name, f"{name} must be a finite number, got {v!r}"))
     return errs
+
+
+def is_int(v) -> bool:
+    """An integer; a boolean is not one."""
+    # the exact type first, as the table builds call this on every count:
+    # an ABC isinstance check costs several times as much
+    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
 
 
 def is_real(v) -> bool:

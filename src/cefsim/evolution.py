@@ -80,8 +80,14 @@ def simulate(game: FederationGame, x_init: MixedStrategyProfile,
     """Integrate the replicator dynamics of order solver.alpha from x_init.
 
     After every accepted step the state is projected back onto the product
-    of simplices; the quadrature keeps the dynamics near-tangent, so the
-    logged correction magnitudes should stay tiny.
+    of simplices.  `postprocess_corrections` logs, per step, the largest
+    change that projection made to a share: how far the step left the
+    simplices.  A stable grid keeps it at rounding level (about 1e-15); a
+    large one marks a grid past the explicit scheme's stability limit,
+    such as 2.7e6 at alpha 0.5 with 10^4 steps of the bundled scenario, or
+    0.60 at alpha 0.8 with 1000 steps.  A small one does not prove a run
+    accurate: that second run with two corrector passes corrects by at
+    most 1.7e-16, yet ends 0.034 from a 2*10^4-step reference.
     """
     if not gamma > 0:
         raise ValueError("adaptation speed gamma must be > 0")

@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._fields import Problem, Record
+from ._fields import Problem, Record, is_int
 
 SIMPLEX_TOL = 1e-9
 
@@ -115,8 +115,8 @@ class MixedStrategyProfile:
         if len(levels) != len(eips):
             raise ValueError(f"{len(levels)} levels for {len(eips)} providers")
         for e, l in zip(eips, levels):
-            if not 0 <= l <= e.max_workers:
-                raise ValueError(f"level {l} outside 0..{e.max_workers}")
+            if not (is_int(l) and 0 <= l <= e.max_workers):
+                raise ValueError(f"level {l!r} outside 0..{e.max_workers}")
         return cls([np.eye(e.num_strategies)[l] for e, l in zip(eips, levels)])
 
     @classmethod
@@ -159,6 +159,14 @@ def _hypergeometric_pmf(pool: tuple[int, ...], draws: int):
             for combo in _constrained_placements(pool, draws)]
 
 
+def _counts(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """`values` as a tuple; ValueError unless each is an integer >= 0."""
+    values = tuple(values)
+    if not all(is_int(v) and v >= 0 for v in values):
+        raise ValueError(f"{what} must be integers >= 0, got {values!r}")
+    return values
+
+
 def joint_assignment_pmf(levels: Sequence[int], n: int):
     """Distribution of worker placements when n workers are drawn uniformly
     from the pooled contributions `levels`.
@@ -166,9 +174,7 @@ def joint_assignment_pmf(levels: Sequence[int], n: int):
     Returns [(placement, probability), ...]; empty when the federation
     cannot serve the task (sum(levels) < n).
     """
-    levels = tuple(int(x) for x in levels)
-    if any(l < 0 for l in levels):
-        raise ValueError("contribution levels must be >= 0")
+    levels = _counts(levels, "contribution levels")
     if sum(levels) < n:
         return []
     return _hypergeometric_pmf(levels, n)
@@ -178,7 +184,7 @@ def recovery_pmf(placement: Sequence[int], k: int):
     """Distribution of how the first k returned results split across
     providers, given the worker placement of the running task.
     """
-    placement = tuple(int(x) for x in placement)
+    placement = _counts(placement, "placement counts")
     total = sum(placement)
     if total < k:
         raise ValueError(f"cannot recover: {total} assigned workers < k={k}")
@@ -253,10 +259,11 @@ class FederationGame:
 
     def _check(self, i: int, j: int = 0) -> None:
         """Raise ValueError unless i numbers a provider and j one of its strategies."""
-        if not 0 <= i < len(self.eips):
-            raise ValueError(f"provider {i} outside 0..{len(self.eips) - 1}")
-        if not 0 <= j <= self.eips[i].max_workers:
-            raise ValueError(f"strategy {j} of provider {i} outside 0..{self.eips[i].max_workers}")
+        if not (is_int(i) and 0 <= i < len(self.eips)):
+            raise ValueError(f"provider {i!r} outside 0..{len(self.eips) - 1}")
+        if not (is_int(j) and 0 <= j <= self.eips[i].max_workers):
+            raise ValueError(f"strategy {j!r} of provider {i} outside "
+                             f"0..{self.eips[i].max_workers}")
 
     # ------------------------------------------------------------------
     # utilization and its cost

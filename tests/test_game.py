@@ -101,6 +101,27 @@ def test_readers_reject_index_out_of_range(game, eips, task, reader, k, msg):
         INDEXED_READERS[reader](game, k, MixedStrategyProfile.uniform(eips), task)
 
 
+# each count reader called with `k` as the first provider's count
+COUNT_READERS = {
+    "pure": lambda eips, k: MixedStrategyProfile.pure(eips, [k, 8]),
+    "joint_assignment_pmf": lambda eips, k: joint_assignment_pmf((k, 8), 6),
+    "recovery_pmf": lambda eips, k: recovery_pmf((k, 3), 4),
+}
+
+
+@pytest.mark.parametrize("bad", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("reader", [*INDEXED_READERS, *COUNT_READERS])
+def test_indices_and_counts_must_be_integers(game, eips, task, reader, bad):
+    # a float or a bool used to pass the range checks and then answer for
+    # the integer, be truncated by int(), or escape as a bare IndexError
+    # or TypeError
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        if reader in COUNT_READERS:
+            COUNT_READERS[reader](eips, bad)
+        else:
+            INDEXED_READERS[reader](game, bad, MixedStrategyProfile.uniform(eips), task)
+
+
 @pytest.mark.parametrize("blocks, bad", [
     ([[np.nan, 1.0], [0.5, 0.5]], 0),
     ([[0.0, 1.0], [0.5, np.nan]], 1),
