@@ -15,7 +15,7 @@ import numpy as np
 
 from ._fields import is_real
 from .fractional import SolverConfig
-from .game import SIMPLEX_TOL, EipConfig, FederationGame, MixedStrategyProfile, TaskSpec
+from .game import EipConfig, FederationGame, MixedStrategyProfile, TaskSpec, simplex_problem
 
 TOP_FIELDS = ("eips", "tasks", "solver", "gamma", "initial_profile", "flags")
 
@@ -150,8 +150,8 @@ def parse_config_dict(doc: dict) -> ScenarioConfig:
                 problems.append(f"{path}: must be a list of finite numbers, got {block!r}")
             elif sizes and len(block) != sizes[i]:
                 problems.append(f"{path}: expected length {sizes[i]}, got {len(block)}")
-            elif abs(sum(block) - 1.0) > SIMPLEX_TOL or any(v < 0 for v in block):
-                problems.append(f"{path}: not a probability vector")
+            elif problem := simplex_problem(block):
+                problems.append(f"{path}: {problem}")
 
     if problems:
         raise ConfigError(problems)

@@ -85,6 +85,22 @@ def block_slices(sizes: Sequence[int]) -> tuple[slice, ...]:
     return tuple(itertools.starmap(slice, itertools.pairwise(offsets)))
 
 
+def simplex_problem(block) -> str | None:
+    """What keeps `block` from being a probability vector, or None: it must
+    be a nonempty 1-D vector of finite entries, none below 0 or above
+    1 + SIMPLEX_TOL, whose (numpy) sum lies within SIMPLEX_TOL of 1."""
+    b = np.asarray(block, dtype=float)
+    if b.ndim != 1 or b.size < 1:
+        return "must be a nonempty vector"
+    # NaN fails every comparison, so the range check would pass it
+    if not np.isfinite(b).all():
+        return "entries must be finite"
+    if np.any(b < 0) or np.any(b > 1 + SIMPLEX_TOL):
+        return "entries must lie in [0, 1]"
+    total = float(b.sum())
+    return f"must sum to 1 (got {total!r})" if abs(total - 1.0) > SIMPLEX_TOL else None
+
+
 class MixedStrategyProfile:
     """Per-provider probability vectors over worker-contribution levels.
 
@@ -96,15 +112,8 @@ class MixedStrategyProfile:
     def __init__(self, blocks: Sequence[np.ndarray]):
         self.blocks = tuple(np.asarray(b, dtype=float) for b in blocks)
         for i, b in enumerate(self.blocks):
-            if b.ndim != 1 or b.size < 1:
-                raise ValueError(f"block {i} must be a nonempty vector")
-            # NaN fails every comparison, so the range check would pass it
-            if not np.isfinite(b).all():
-                raise ValueError(f"block {i} entries must be finite")
-            if np.any(b < -SIMPLEX_TOL) or np.any(b > 1 + SIMPLEX_TOL):
-                raise ValueError(f"block {i} entries must lie in [0, 1]")
-            if abs(b.sum() - 1.0) > SIMPLEX_TOL:
-                raise ValueError(f"block {i} must sum to 1 (got {b.sum()!r})")
+            if problem := simplex_problem(b):
+                raise ValueError(f"block {i} {problem}")
 
     @classmethod
     def uniform(cls, eips: Sequence[EipConfig]) -> "MixedStrategyProfile":

@@ -23,7 +23,7 @@ def _configs(args):
 
 
 def test_plan_labels_and_stderr_rule(plan):
-    assert len(plan) == 60
+    assert len(plan) == 61
     assert {label for label, (_, check) in plan.items() if check} == {
         label for label in plan if label.startswith("invalid-")}
 

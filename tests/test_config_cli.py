@@ -14,6 +14,7 @@ from cefsim.config import (ConfigError, emit_config, parse_config,
                            parse_config_dict)
 from cefsim.evolution import detect_convergence, simulate
 from cefsim.experiments import scenario_at
+from cefsim.game import MixedStrategyProfile
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src/cefsim/data/canonical_scenario.json"
 
@@ -164,6 +165,35 @@ def test_initial_profile_validation(doc):
                               [1.0, 0, 0, 0, 0, 0, 0, 0, 0]]
     cfg = parse_config_dict(doc)
     assert cfg.initial_mixed_profile().blocks[1][0] == 1.0
+
+
+# Dirichlet(1) blocks scaled to sum 1 - 1e-9 (default_rng(1), trials 6 and 30):
+# Python's sequential sum and numpy's pairwise sum fall on opposite sides
+# of the tolerance, so only the profile's own rule reads them alike
+OUT_BY_NUMPY_SUM = [0.0942868191168644, 0.13339302905323713, 0.32054834180689107,
+                    0.10732180252113072, 0.03298902506485419, 0.001086792765078527,
+                    0.040980506732019216, 0.07936836402991333, 0.19002531791001132]
+OUT_BY_PYTHON_SUM = [0.23326240634241166, 0.035205953577818035, 0.035150731165491854,
+                     0.09135228589497942, 0.03836931644836743, 0.3394675908779597,
+                     0.07472091683793916, 0.015954526100109535, 0.13651627175492326]
+
+
+def test_initial_profile_takes_the_profile_rule(tmp_path, doc):
+    doc["solver"]["steps"] = 50
+    doc["initial_profile"] = [[0.2] * 5, OUT_BY_NUMPY_SUM]
+    with pytest.raises(ValueError, match="block 1 must sum to 1"):
+        MixedStrategyProfile(doc["initial_profile"])
+    # a config that parses is one whose run starts
+    with pytest.raises(ConfigError) as exc:
+        parse_config_dict(doc)
+    assert exc.value.problems == ["initial_profile[1]: must sum to 1 (got 0.9999999989999999)"]
+    doc["initial_profile"][1] = OUT_BY_PYTHON_SUM
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert parse_config(p).initial_mixed_profile().blocks[1].tolist() == OUT_BY_PYTHON_SUM
+    # 50 steps are too few to settle: the run ends unconverged, its files written
+    assert main(["simulate", str(p), "--out-dir", str(tmp_path / "o")]) == cli.EXIT_UNCONVERGED
+    assert (tmp_path / "o" / "report.json").is_file()
 
 
 @pytest.mark.parametrize("edit,problem", [

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -329,12 +330,36 @@ def test_alpha_invariance_full_profile(terminal_by_alpha):
 
 # ----------------------------------------------------- field & stability
 
+def _last_share_starts(eips, values, count):
+    """The first `count` grid starts: each provider's last strategy at a
+    grid value, the rest of its mass spread evenly."""
+    starts = []
+    for combo in itertools.islice(itertools.product(values, repeat=len(eips)), count):
+        blocks = [np.append(np.full(e.max_workers, (1 - v) / e.max_workers), v)
+                  for e, v in zip(eips, combo)]
+        starts.append(MixedStrategyProfile(blocks))
+    return starts
+
+
 def test_direction_field_shapes(game):
     x_eq = MixedStrategyProfile.uniform(game.eips)
     polys = direction_field(game, [x_eq], SolverConfig(alpha=1.0, steps=400), GAMMA,
                             stride=100)
     assert len(polys) == 1
     assert polys[0].shape == (5, 14)
+    # each polyline is its own start's trajectory at every stride-th step,
+    # bit for bit, windowed and with full memory, on two and three providers
+    three = FederationGame((*game.eips, EipConfig(3, 110, 7, 2100, 1.0, 1e-5, 1200)),
+                           game.tasks, literal_utilization_cost=True)
+    for g, window in itertools.product((game, three), (50, None)):
+        solver = SolverConfig(alpha=0.8, steps=300, memory_truncation=window)
+        starts = _last_share_starts(g.eips, (0.3, 0.6), 4)
+        polys = direction_field(g, starts, solver, GAMMA, stride=50)
+        assert len(polys) == 4
+        for x0, poly in zip(starts, polys):
+            expected = simulate(g, x0, solver, GAMMA).states[::50]
+            assert poly.shape == expected.shape == (7, g.slices[-1].stop)
+            assert np.array_equal(poly.view(np.uint64), expected.view(np.uint64))
 
 
 def test_estimate_lipschitz_properties(game):

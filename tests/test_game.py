@@ -134,6 +134,13 @@ def test_profile_rejects_non_finite_entries(blocks, bad):
         MixedStrategyProfile([np.array(b) for b in blocks])
 
 
+def test_profile_entries_must_not_be_negative():
+    # -0.0 is not below 0; any negative entry is, however small
+    assert MixedStrategyProfile([[-0.0, 1.0]]).blocks[0][0] == 0.0
+    with pytest.raises(ValueError, match=r"block 0 entries must lie in \[0, 1\]"):
+        MixedStrategyProfile([[-1e-12, 1.0 + 1e-12]])
+
+
 # ------------------------------------------------------------ assignment
 
 def test_assignment_trivial_cases():

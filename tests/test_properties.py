@@ -8,6 +8,9 @@ providers with at most 4 workers per cloud, one or two task types.
   with `FdeAbortError`.
 - `cli.main` returns an exit code 0-3 and never raises, on each scenario
   and on copies with one field deleted, mistyped or out of range.
+- The config parser accepts an initial-profile block exactly when
+  `MixedStrategyProfile` does, on blocks whose sums straddle the
+  tolerance.
 
 The draws come from one seeded numpy Generator, so every run checks the
 same cases.
@@ -17,12 +20,13 @@ import copy
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cefsim import cli
-from cefsim.config import parse_config_dict
+from cefsim.config import ConfigError, parse_config_dict
 from cefsim.evolution import simulate
 from cefsim.fractional import FdeAbortError
 from cefsim.game import MixedStrategyProfile
@@ -30,6 +34,8 @@ from cefsim.game import MixedStrategyProfile
 SEED = 16
 SCENARIOS = 24
 STEPS = 50
+EDGE_BLOCKS = 2000
+BUNDLED = Path(__file__).resolve().parents[1] / "src/cefsim/data/canonical_scenario.json"
 
 
 def _scenario(rng) -> dict:
@@ -190,3 +196,41 @@ def test_cli_exit_code_on_random_and_broken_configs(case, tmp_path, capsys):
         assert code in (0, 1, 2, 3), label
         if label == "valid":
             assert code != 1, capsys.readouterr().err
+
+
+def _edge_block(rng, size: int) -> list[float]:
+    """A Dirichlet(1) block scaled to sum 1 -/+ about 1e-9, where the
+    rounding of the sum decides; one in five has an entry of -0.0 or just
+    below 0."""
+    b = rng.dirichlet(np.ones(size))
+    off = rng.choice([-1e-9, 1e-9]) * (1 + rng.uniform(-1e-6, 1e-6))
+    b *= (1 + off) / b.sum()
+    if rng.random() < 0.2:
+        b[rng.integers(size)] = -rng.choice([0.0, 1e-12, 1e-10])
+    return b.tolist()
+
+
+def test_config_accepts_a_block_exactly_when_the_profile_does():
+    rng = np.random.default_rng(SEED)
+    doc = json.loads(BUNDLED.read_text())
+    sizes = [e["max_workers"] + 1 for e in doc["eips"]]
+    verdicts = []
+    for _ in range(EDGE_BLOCKS):
+        blocks = [[1.0 / n] * n for n in sizes]
+        i = int(rng.integers(len(sizes)))
+        blocks[i] = _edge_block(rng, sizes[i])
+        try:
+            MixedStrategyProfile([np.array(b) for b in blocks])
+            profile_ok = True
+        except ValueError:
+            profile_ok = False
+        doc["initial_profile"] = blocks
+        try:
+            parse_config_dict(doc)
+            config_ok = True
+        except ConfigError:
+            config_ok = False
+        assert config_ok == profile_ok, blocks[i]
+        verdicts.append(profile_ok)
+    # the draw lands on both sides of the rule
+    assert 200 < sum(verdicts) < EDGE_BLOCKS - 200

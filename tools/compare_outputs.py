@@ -88,6 +88,8 @@ def _two_tasks(doc):
 PRIMITIVE = _set("flags", utilization_cost_literal=False)
 CONFIG = "CONFIG"   # stands for the config file in a command line
 FIELD = "field CONFIG --grid-spec 0.3:0.5:0.1 --stride 50"
+# capacity == num_clouds * max_workers: provider 1 saturates at its all-max share
+SATURABLE = _set("eips", 0, num_clouds=10, max_workers=4, capacity=40)
 
 # label -> (command line, edits of the bundled scenario that give CONFIG);
 # stderr is compared for the labels that start with "invalid-"
@@ -114,11 +116,11 @@ COMMANDS = {
     "simulate-primitive": ("simulate CONFIG", [PRIMITIVE, _steps(1000)]),
     "field-primitive": (FIELD, [PRIMITIVE, _steps(1000)]),
     "sweep-primitive": ("sweep CONFIG --param r1 --grid 10:30:10", [PRIMITIVE, _steps(1000)]),
-    # numerical aborts (exit 2); in the first, provider 1 starts at its all-max
-    # share with capacity == num_clouds * max_workers
+    # numerical aborts (exit 2); in the first two, provider 1 starts at its
+    # all-max share: in the field, first at the third start, (1.0, 0.5)
     "abort-saturation": ("simulate CONFIG", [
-        _set("eips", 0, num_clouds=10, max_workers=4, capacity=40),
-        _set(initial_profile=[[0, 0, 0, 0, 1], [1 / 9] * 9]), _steps(50)]),
+        SATURABLE, _set(initial_profile=[[0, 0, 0, 0, 1], [1 / 9] * 9]), _steps(50)]),
+    "abort-field": ("field CONFIG --grid-spec 0.5:1.0:0.5 --stride 10", [SATURABLE, _steps(50)]),
     "abort-gamma-1e300": ("simulate CONFIG", [_set(gamma=1e300), _steps(200)]),
     "invalid-missing-field": ("simulate CONFIG", [lambda doc: doc["eips"][0].pop("capacity")]),
     "invalid-unknown-field": ("simulate CONFIG", [_set("tasks", 0, typo=1)]),
