@@ -36,8 +36,9 @@ def type_errors(cls, raw: Mapping) -> list[Problem]:
     """One problem per field of the record class `cls` whose value in `raw`
     has the wrong type.
 
-    Integer fields take integers; real fields take finite integers or
-    floats; a boolean is neither; an optional field also takes None.
+    Integer fields take integers; real fields take integers or floats;
+    either must be finite as a float (`is_real`); a boolean is neither;
+    an optional field also takes None.
     """
     errs = []
     for name, (kind, optional) in field_types(cls).items():
@@ -46,21 +47,25 @@ def type_errors(cls, raw: Mapping) -> list[Problem]:
             continue
         if kind is int and not is_int(v):
             errs.append((name, f"{name} must be an integer, got {v!r}"))
-        elif kind is float and not is_real(v):
+        elif not is_real(v):
             errs.append((name, f"{name} must be a finite number, got {v!r}"))
     return errs
 
 
 def is_int(v) -> bool:
     """An integer; a boolean is not one."""
-    # the exact type first, as the table builds call this on every count:
-    # an ABC isinstance check costs several times as much
-    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 def is_real(v) -> bool:
-    """A finite integer or float; a boolean is not a number."""
-    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+    """An integer or float that is finite as a float; a boolean is not a
+    number, and neither is an integer beyond the float range."""
+    if not isinstance(v, Real) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:   # an int too large to convert
+        return False
 
 
 class Record:

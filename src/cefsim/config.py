@@ -15,7 +15,8 @@ import numpy as np
 
 from ._fields import is_real
 from .fractional import SolverConfig
-from .game import EipConfig, FederationGame, MixedStrategyProfile, TaskSpec, simplex_problem
+from .game import (EipConfig, FederationGame, MixedStrategyProfile, TaskSpec,
+                   profile_count_problem, simplex_problem)
 
 TOP_FIELDS = ("eips", "tasks", "solver", "gamma", "initial_profile", "flags")
 
@@ -112,6 +113,8 @@ def parse_config_dict(doc: dict) -> ScenarioConfig:
                        for i, raw in enumerate(doc[key])]
             parsed[key] = [r for r in records if r is not None]
     eips, tasks = parsed["eips"], parsed["tasks"]
+    if problem := profile_count_problem(eips):
+        problems.append(f"eips: {problem}")
     if tasks and sum(t.rate for t in tasks) <= 0:
         problems.append("tasks: arrival rates must not all be zero")
 
@@ -125,7 +128,7 @@ def parse_config_dict(doc: dict) -> ScenarioConfig:
     if gamma is None:
         problems.append("gamma: missing")
     elif not is_real(gamma) or gamma <= 0:
-        problems.append(f"gamma: must be a number > 0, got {gamma!r}")
+        problems.append(f"gamma: must be a finite number > 0, got {gamma!r}")
 
     literal = False
     flags = doc.get("flags")

@@ -21,6 +21,8 @@ import numpy as np
 from ._fields import Problem, Record, is_int
 
 SIMPLEX_TOL = 1e-9
+# pure profiles a game may have; see `profile_count_problem`
+MAX_PROFILES = 100_000
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,19 @@ def simplex_problem(block) -> str | None:
         return "entries must lie in [0, 1]"
     total = float(b.sum())
     return f"must sum to 1 (got {total!r})" if abs(total - 1.0) > SIMPLEX_TOL else None
+
+
+def profile_count_problem(eips: Sequence[EipConfig]) -> str | None:
+    """What keeps the payoff tables of a game of `eips` from being built, or
+    None: they hold one entry per provider and pure profile, and the pure
+    profiles, prod_i (L_i + 1), must not exceed MAX_PROFILES."""
+    count = math.prod(e.num_strategies for e in eips)
+    if count <= MAX_PROFILES:
+        return None
+    # huge max_workers give a product with too many digits to print
+    shown = count if count < 10 ** 100 else f"about 10^{math.log10(count):.0f}"
+    return (f"{shown} pure profiles (the product of every provider's "
+            f"max_workers + 1) exceed the limit of {MAX_PROFILES}")
 
 
 class MixedStrategyProfile:
@@ -240,6 +255,8 @@ class FederationGame:
         total_rate = sum(t.rate for t in tasks)
         if total_rate <= 0:
             raise ValueError("task arrival rates must not all be zero")
+        if problem := profile_count_problem(eips):
+            raise ValueError(problem)
         self.eips = tuple(eips)
         self.tasks = tuple(tasks)
         self.literal_utilization_cost = literal_utilization_cost
@@ -316,28 +333,30 @@ class FederationGame:
         other axes), excluding the utilization cost, which depends on the
         mixed state.
 
-        One enumeration: each profile sums its placements in
-        `joint_assignment_pmf` order, and a placement's terms, which do not
-        depend on the profile it came from, are computed once.  Memoised
+        One pass over the worker placements c (c_i <= L_i, sum c = n), in
+        lexicographic order, adds c's terms to every profile l >= c, weighed
+        by prod_i C(l_i, c_i) / C(sum l, n) rounded once: each entry sums its
+        `joint_assignment_pmf` terms in that order, bit for bit.  Memoised
         per task.
         """
         table = self._tables.get(task)
         if table is not None:
             return table
-        table = np.empty((len(self.eips),) + self.block_sizes)
-        terms = {}   # placement -> every provider's term
-        for levels in itertools.product(*map(range, self.block_sizes)):
-            values = [task.r2] * len(self.eips)
-            for placement, p in joint_assignment_pmf(levels, task.n):
-                if placement not in terms:
-                    recovery = recovery_pmf(placement, task.k)
-                    terms[placement] = [
-                        task.r0 * task.n * nt - e.cpu_cost * task.cycles / task.k * nt
-                        + task.r1 * task.k * sum(q * kt[i] for kt, q in recovery)
-                        for i, (e, nt) in enumerate(zip(self.eips, placement))]
-                for i, term in enumerate(terms[placement]):
-                    values[i] += p * term
-            table[(slice(None),) + levels] = values
+        limits = [e.max_workers for e in self.eips]
+        table = np.full((len(self.eips),) + self.block_sizes, task.r2, dtype=float)
+        den = [math.comb(s, task.n) for s in range(sum(limits) + 1)]
+        for c in _constrained_placements(limits, task.n):
+            recovery = recovery_pmf(c, task.k)
+            terms = [task.r0 * task.n * nt - e.cpu_cost * task.cycles / task.k * nt
+                     + task.r1 * task.k * sum(q * kt[i] for kt, q in recovery)
+                     for i, (e, nt) in enumerate(zip(self.eips, c))]
+            levels = [range(ci, top + 1) for ci, top in zip(c, limits)]
+            nums = [[math.comb(l, ci) for l in ls] for ci, ls in zip(c, levels)]
+            # floats divide exactly while both counts are below 2^53, else Python ints
+            kind = float if max(math.prod(v[-1] for v in nums), den[-1]) < 2 ** 53 else object
+            p = (math.prod(np.ix_(*[np.array(v, kind) for v in nums]))
+                 / np.array(den, kind)[sum(np.ix_(*levels))]).astype(float)
+            table[(slice(None),) + tuple(slice(ci, None) for ci in c)] += np.multiply.outer(terms, p)
         self._tables[task] = table
         return table
 

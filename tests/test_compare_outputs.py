@@ -23,7 +23,7 @@ def _configs(args):
 
 
 def test_plan_labels_and_stderr_rule(plan):
-    assert len(plan) == 61
+    assert len(plan) == 63
     assert {label for label, (_, check) in plan.items() if check} == {
         label for label in plan if label.startswith("invalid-")}
 
@@ -46,7 +46,7 @@ def test_valid_commands_have_valid_configs(plan):
 def test_invalid_scenario_edits_are_config_errors(plan):
     edited = [label for label, (line, edits) in compare.COMMANDS.items()
               if label.startswith("invalid-") and edits]
-    assert len(edited) == 5
+    assert len(edited) == 6
     for label in edited:
         (path,) = _configs(plan[label][0])
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@ import itertools
 import json
 import re
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from cefsim.config import (ConfigError, emit_config, parse_config,
                            parse_config_dict)
 from cefsim.evolution import detect_convergence, simulate
 from cefsim.experiments import scenario_at
-from cefsim.game import MixedStrategyProfile
+from cefsim.game import EipConfig, FederationGame, MixedStrategyProfile, TaskSpec
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src/cefsim/data/canonical_scenario.json"
 
@@ -635,3 +636,57 @@ def test_cli_mistyped_field_is_config_error(tmp_path, doc, capsys, section, fiel
         path = (f"{section}.{field}" if section in ("solver", "flags")
                 else f"{section}[0].{field}")
         assert f"{path}: {field} must be" in err
+
+
+# the path an error names -> the keys of the config entry
+HUGE_NUMBER_KEYS = {
+    "gamma": ("gamma",), "eips[0].fixed_cost": ("eips", 0, "fixed_cost"),
+    "tasks[0].rate": ("tasks", 0, "rate"), "tasks[0].cycles": ("tasks", 0, "cycles"),
+    "initial_profile[1]": ("initial_profile", 1, 0), "solver.steps": ("solver", "steps"),
+    "eips[0].num_clouds": ("eips", 0, "num_clouds"), "eips[0].capacity": ("eips", 0, "capacity"),
+    "tasks[0].n": ("tasks", 0, "n"), "solver.memory_truncation": ("solver", "memory_truncation"),
+}
+
+
+@pytest.mark.parametrize("path", list(HUGE_NUMBER_KEYS))
+def test_cli_number_beyond_float_range_is_config_error(tmp_path, doc, capsys, path):
+    # every config number, integer or real, must be finite as a float;
+    # 10^400 written out in full is not
+    doc["initial_profile"] = [[0.2] * 5, [0.0] * 8 + [1.0]]
+    *keys, last = HUGE_NUMBER_KEYS[path]
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = 10 ** 400
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert main(["simulate", str(p), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"\n  {path}: " in err and "Traceback" not in err, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_too_many_pure_profiles_is_config_error(tmp_path, doc, capsys):
+    # 7 providers of 9 strategies: 9^7 pure profiles, whose dense tables
+    # would take hundreds of MB; the parser refuses them at once
+    base = doc["eips"][1]
+    doc["eips"] = [dict(base, index=i + 1) for i in range(7)]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["simulate", str(p), "--out-dir", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"\n  eips: {9 ** 7} pure profiles" in err, err
+    with pytest.raises(ValueError, match=f"{9 ** 7} pure profiles"):
+        FederationGame([EipConfig(**e) for e in doc["eips"]],
+                       [TaskSpec(**doc["tasks"][0])])
+    # a count too long to print in full (Python refuses ints of more than
+    # 4300 digits) is named by its order of magnitude
+    doc["eips"] = [dict(base, index=i + 1, num_clouds=1, max_workers=10 ** 300,
+                        capacity=10 ** 300) for i in range(16)]
+    with pytest.raises(ConfigError) as exc:
+        parse_config_dict(doc)
+    assert exc.value.problems == [
+        "eips: about 10^4800 pure profiles (the product of every provider's "
+        "max_workers + 1) exceed the limit of 100000"]

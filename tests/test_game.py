@@ -512,6 +512,31 @@ def test_compiled_field_bit_identical_to_tensordot_form(name):
                           _seed_rhs_flat(game, tables, flat, gamma)), (name, m)
 
 
+TABLE_GAMES = {
+    # four providers: the table has five axes
+    "four_providers": ((EipConfig(1, 100, 4, 1800, 1.0, 1e-5, 500),
+                        EipConfig(2, 120, 3, 2800, 1.0, 1e-5, 1100),
+                        EipConfig(3, 110, 2, 2100.5, 0.9, 1.2e-5, 1200),
+                        EipConfig(4, 90, 3, 1500, 0.8, 2e-5, 400)),
+                       TaskSpec(7, 3, 30, 30, 10, 1e6, 1.0)),
+    # C(60, 30) ~ 1.2e17: the counts exceed 2^53, so no float holds them exactly
+    "counts_beyond_2_53": ((EipConfig(1, 1, 30, 1800, 1.0, 1e-5, 30),
+                            EipConfig(2, 1, 30, 2800, 1.0, 2e-5, 30)),
+                           TaskSpec(30, 3, 30, 30, 10, 1e6, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_GAMES))
+def test_task_table_bit_identical_to_per_profile_sum(name):
+    eips, task = TABLE_GAMES[name]
+    game = FederationGame(eips, [task])
+    table = game._task_table(task)
+    for levels in itertools.product(*map(range, game.block_sizes)):
+        for i in range(len(eips)):
+            assert _same_bits(table[(i, *levels)],
+                              _seed_expected_task_value(game, i, levels, task)), (levels, i)
+
+
 @pytest.mark.parametrize("name", sorted(BIT_GAMES))
 def test_payoffs_and_costs_bit_identical_to_oracle(name):
     # every strategy's payoff and utilization cost, the sign of a zero

@@ -80,6 +80,12 @@ def _three_providers(doc):
                         "calibration_ratio": 1.0, "cpu_cost": 1e-5, "capacity": 1200})
 
 
+def _four_providers(doc):
+    _three_providers(doc)
+    doc["eips"].append({"index": 4, "num_clouds": 90, "max_workers": 3, "fixed_cost": 1500.0,
+                        "calibration_ratio": 1.0, "cpu_cost": 2e-5, "capacity": 400})
+
+
 def _two_tasks(doc):
     doc["tasks"].append({"n": 9, "k": 5, "r0": 20, "r1": 25, "r2": 3, "cycles": 2e6, "rate": 0.5})
 
@@ -111,6 +117,7 @@ COMMANDS = {
     "simulate-3p": ("simulate CONFIG", [_three_providers]),
     "field-3p": (FIELD, [_three_providers, _steps(1000)]),
     "sweep-3p": ("sweep CONFIG --param k --grid 2:4:1", [_three_providers, _steps(1000)]),
+    "simulate-4p": ("simulate CONFIG", [_four_providers, _steps(1000)]),
     "simulate-2t": ("simulate CONFIG", [_two_tasks, _steps(1000)]),
     "sweep-2t": ("sweep CONFIG --param k --grid 2:4:1", [_two_tasks, _steps(1000)]),
     "simulate-primitive": ("simulate CONFIG", [PRIMITIVE, _steps(1000)]),
@@ -127,6 +134,8 @@ COMMANDS = {
     "invalid-mistyped-field": ("simulate CONFIG", [_set("solver", steps="100")]),
     "invalid-out-of-range": ("simulate CONFIG", [
         _set("eips", 1, calibration_ratio=1.5), _set("tasks", 0, k=9), _steps(1)]),
+    # an integer beyond the float range, written out in full
+    "invalid-huge-number": ("simulate CONFIG", [_set(gamma=10 ** 400)]),
     "invalid-bad-initial-profile": ("simulate CONFIG", [
         _set(initial_profile=[[1.0, 0.0, 0.0, 0.0, 0.0], [0.5, 0.5]])]),
     # E1 * L1 = 400: a capacity of 300 breaks provider 1
